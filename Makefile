@@ -24,7 +24,8 @@ docs:
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) run ./cmd/doccheck ./internal/core ./internal/dfg ./internal/verify \
 		./internal/service ./internal/failure ./internal/obs ./internal/journal \
-		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster
+		./internal/sat ./internal/satmap ./internal/loadtest ./internal/cluster \
+		./internal/linalg ./internal/spectral ./internal/kmeans
 
 # The observability contracts: span-tree well-formedness under 16
 # concurrent requests, /metricsz exposition-format validity, the

@@ -10,6 +10,7 @@ import (
 	"panorama/internal/dfg"
 	"panorama/internal/failure"
 	"panorama/internal/faultinject"
+	"panorama/internal/kernels"
 )
 
 // The fault matrix: every named injection site at every pipeline stage
@@ -207,6 +208,31 @@ func TestRealBudgets(t *testing.T) {
 		res, err := MapPanoramaCtx(context.Background(), d, a, UltraFastLower{},
 			Config{Seed: 1, RelaxOnFailure: true, Workers: 1,
 				Budgets: Budgets{Clustering: time.Nanosecond}})
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("err = %v, want ErrBudget", err)
+		}
+		if res == nil || res.Provenance.BudgetStage != "clustering" {
+			t.Fatalf("BudgetStage = %q, want clustering", res.Provenance.BudgetStage)
+		}
+	})
+
+	t.Run("clustering budget bounds the full-scale eigensolve", func(t *testing.T) {
+		// The largest full-scale kernel: its eigensolve alone takes far
+		// longer than the budget, so only the solver's own ctx checks
+		// can end the stage on time.
+		var d *dfg.Graph
+		for _, spec := range kernels.All() {
+			if g := spec.Build(1); d == nil || g.NumNodes() > d.NumNodes() {
+				d = g
+			}
+		}
+		const budget = 50 * time.Millisecond
+		t0 := time.Now()
+		res, err := MapPanoramaCtx(context.Background(), d, arch.Preset16x16(), UltraFastLower{},
+			Config{Seed: 1, RelaxOnFailure: true, Budgets: Budgets{Clustering: budget}})
+		if el := time.Since(t0); el > budget+time.Second {
+			t.Fatalf("%s (%d nodes): %v clustering budget returned after %v", d.Name, d.NumNodes(), budget, el)
+		}
 		if !errors.Is(err, ErrBudget) {
 			t.Fatalf("err = %v, want ErrBudget", err)
 		}

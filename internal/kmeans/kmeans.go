@@ -154,29 +154,36 @@ func recomputeCenters(points [][]float64, assign []int, centers [][]float64, rng
 			centers[c][j] += v
 		}
 	}
+	// Finish every mean before re-seeding, so the farthest-point search
+	// below measures distances to centroids rather than to sums.
 	for c := 0; c < k; c++ {
 		if counts[c] == 0 {
-			// Re-seed an empty cluster at the point farthest from its
-			// current centroid, so every cluster stays populated.
-			far, farDist := 0, -1.0
-			for i, p := range points {
-				if d := sqDist(p, centers[assign[i]]); d > farDist && counts[assign[i]] > 1 {
-					far, farDist = i, d
-				}
-			}
-			if farDist < 0 {
-				far = rng.Intn(len(points))
-			}
-			counts[assign[far]]--
-			assign[far] = c
-			counts[c] = 1
-			copy(centers[c], points[far])
 			continue
 		}
 		inv := 1 / float64(counts[c])
 		for j := 0; j < dim; j++ {
 			centers[c][j] *= inv
 		}
+	}
+	for c := 0; c < k; c++ {
+		if counts[c] != 0 {
+			continue
+		}
+		// Re-seed an empty cluster at the point farthest from its
+		// current centroid, so every cluster stays populated.
+		far, farDist := 0, -1.0
+		for i, p := range points {
+			if d := sqDist(p, centers[assign[i]]); d > farDist && counts[assign[i]] > 1 {
+				far, farDist = i, d
+			}
+		}
+		if farDist < 0 {
+			far = rng.Intn(len(points))
+		}
+		counts[assign[far]]--
+		assign[far] = c
+		counts[c] = 1
+		copy(centers[c], points[far])
 	}
 }
 

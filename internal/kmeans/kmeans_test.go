@@ -2,6 +2,7 @@ package kmeans
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -170,5 +171,25 @@ func TestQuickRestartsMonotone(t *testing.T) {
 	}
 	if many.Inertia > one.Inertia+1e-9 {
 		t.Fatalf("restarts worsened inertia: %v > %v", many.Inertia, one.Inertia)
+	}
+}
+
+// TestReseedEmptyClusterPicksFarthestFromCentroid forces an empty
+// cluster 0 next to cluster 1 = {0, 1, 10}. Its centroid is 11/3, so
+// the farthest point is 10 (index 2). Measured against the undivided
+// sum 11 instead, index 0 would look farthest.
+func TestReseedEmptyClusterPicksFarthestFromCentroid(t *testing.T) {
+	points := [][]float64{{0}, {1}, {10}}
+	assign := []int{1, 1, 1}
+	centers := [][]float64{{0}, {0}}
+	recomputeCenters(points, assign, centers, rand.New(rand.NewSource(1)))
+	if want := []int{1, 1, 0}; !reflect.DeepEqual(assign, want) {
+		t.Fatalf("assign = %v, want %v (point 2 re-seeds cluster 0)", assign, want)
+	}
+	if centers[0][0] != 10 {
+		t.Fatalf("re-seeded center = %v, want [10]", centers[0])
+	}
+	if got, want := centers[1][0], 11.0/3; got != want {
+		t.Fatalf("cluster 1 center = %v, want %v", got, want)
 	}
 }

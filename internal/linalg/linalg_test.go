@@ -1,8 +1,10 @@
 package linalg
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -134,10 +136,10 @@ func TestIsSymmetric(t *testing.T) {
 func TestEigenRejectsNonSymmetric(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.Set(0, 1, 5)
-	if _, err := SymmetricEigen(m); err == nil {
+	if _, err := SymmetricEigen(context.Background(), m); err == nil {
 		t.Fatal("accepted non-symmetric input")
 	}
-	if _, err := SymmetricEigen(NewMatrix(2, 3)); err == nil {
+	if _, err := SymmetricEigen(context.Background(), NewMatrix(2, 3)); err == nil {
 		t.Fatal("accepted non-square input")
 	}
 }
@@ -147,7 +149,7 @@ func TestEigenDiagonal(t *testing.T) {
 	m.Set(0, 0, 3)
 	m.Set(1, 1, 1)
 	m.Set(2, 2, 2)
-	res, err := SymmetricEigen(m)
+	res, err := SymmetricEigen(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestEigenKnown2x2(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 0, 1)
 	m.Set(1, 1, 2)
-	res, err := SymmetricEigen(m)
+	res, err := SymmetricEigen(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +194,7 @@ func TestEigenReconstruction(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		n := 5 + trial*7
 		m := randomSymmetric(n, rng)
-		res, err := SymmetricEigen(m)
+		res, err := SymmetricEigen(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +214,7 @@ func TestEigenReconstruction(t *testing.T) {
 func TestEigenVectorsOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomSymmetric(12, rng)
-	res, err := SymmetricEigen(m)
+	res, err := SymmetricEigen(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestEigenVectorsOrthonormal(t *testing.T) {
 
 func TestEigenValuesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	res, err := SymmetricEigen(randomSymmetric(20, rng))
+	res, err := SymmetricEigen(context.Background(), randomSymmetric(20, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +255,7 @@ func TestQuickEigenTrace(t *testing.T) {
 		n := int(szRaw%10) + 2
 		rng := rand.New(rand.NewSource(seed))
 		m := randomSymmetric(n, rng)
-		res, err := SymmetricEigen(m)
+		res, err := SymmetricEigen(context.Background(), m)
 		if err != nil {
 			return false
 		}
@@ -268,3 +270,212 @@ func TestQuickEigenTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestEigenCancelledBeforeWork(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	// A non-square input would fail validation: getting ctx.Err()
+	// instead shows the ctx check comes before any work.
+	for _, m := range []*Matrix{NewMatrix(2, 3), Identity(4)} {
+		res, err := SymmetricEigen(ctx, m)
+		if err != context.Canceled || res != nil {
+			t.Fatalf("%dx%d: got (%v, %v), want (nil, context.Canceled)", m.Rows, m.Cols, res, err)
+		}
+	}
+}
+
+// laplacian returns L = D - A of the undirected graph on n nodes with
+// the given edges.
+func laplacian(n int, edges [][2]int) *Matrix {
+	m := NewMatrix(n, n)
+	for _, e := range edges {
+		m.Add(e[0], e[1], -1)
+		m.Add(e[1], e[0], -1)
+		m.Add(e[0], e[0], 1)
+		m.Add(e[1], e[1], 1)
+	}
+	return m
+}
+
+func pathEdges(first, n int) [][2]int {
+	var es [][2]int
+	for i := 0; i+1 < n; i++ {
+		es = append(es, [2]int{first + i, first + i + 1})
+	}
+	return es
+}
+
+func starEdges(first, n int) [][2]int {
+	var es [][2]int
+	for i := 1; i < n; i++ {
+		es = append(es, [2]int{first, first + i})
+	}
+	return es
+}
+
+func cycleEdges(first, n int) [][2]int {
+	return append(pathEdges(first, n), [2]int{first + n - 1, first})
+}
+
+// pathSpectrum and the like are the closed-form Laplacian spectra.
+func pathSpectrum(n int) []float64 {
+	out := make([]float64, n)
+	for k := range out {
+		out[k] = 2 - 2*math.Cos(math.Pi*float64(k)/float64(n))
+	}
+	return out
+}
+
+func starSpectrum(n int) []float64 {
+	out := []float64{0, float64(n)}
+	for i := 0; i < n-2; i++ {
+		out = append(out, 1)
+	}
+	return out
+}
+
+func cycleSpectrum(n int) []float64 {
+	out := make([]float64, n)
+	for k := range out {
+		out[k] = 2 - 2*math.Cos(2*math.Pi*float64(k)/float64(n))
+	}
+	return out
+}
+
+// checkEigen asserts that res is a valid ascending eigendecomposition
+// of m with the given spectrum: matching values, small residuals
+// ‖Av−λv‖∞ and orthonormal vectors, all within tol.
+func checkEigen(t *testing.T, m *Matrix, res *EigenResult, spectrum []float64, tol float64) {
+	t.Helper()
+	n := m.Rows
+	want := append([]float64(nil), spectrum...)
+	sort.Float64s(want)
+	for i := range want {
+		if !almostEq(res.Values[i], want[i], tol) {
+			t.Fatalf("value %d = %v, want %v", i, res.Values[i], want[i])
+		}
+	}
+	for k := 0; k < n; k++ {
+		v := res.Vectors.Col(k)
+		av := m.MulVec(v)
+		for i := range av {
+			if !almostEq(av[i], res.Values[k]*v[i], tol) {
+				t.Fatalf("pair %d: residual %v at row %d", k, av[i]-res.Values[k]*v[i], i)
+			}
+		}
+	}
+	vt := res.Vectors.Transpose()
+	gram := vt.Mul(res.Vectors)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			want := 0.0
+			if a == b {
+				want = 1
+			}
+			if !almostEq(gram.At(a, b), want, tol) {
+				t.Fatalf("v%d . v%d = %v, want %v", a, b, gram.At(a, b), want)
+			}
+		}
+	}
+}
+
+// threeComponents is a 4-node path, a 6-node cycle and a 5-node star
+// side by side: 15 nodes whose Laplacian has eigenvalue 0 three times.
+func threeComponents() [][2]int {
+	return append(append(pathEdges(0, 4), cycleEdges(4, 6)...), starEdges(10, 5)...)
+}
+
+func TestEigenDegenerateLaplacians(t *testing.T) {
+	three := threeComponents()
+	threeSpectrum := append(append(pathSpectrum(4), cycleSpectrum(6)...), starSpectrum(5)...)
+	cases := []struct {
+		name     string
+		n        int
+		edges    [][2]int
+		spectrum []float64
+	}{
+		{"path", 9, pathEdges(0, 9), pathSpectrum(9)},
+		{"star", 12, starEdges(0, 12), starSpectrum(12)}, // 1 has multiplicity n-2
+		{"cycle", 10, cycleEdges(0, 10), cycleSpectrum(10)},
+		{"three components", 15, three, threeSpectrum}, // 0 has multiplicity 3
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := laplacian(c.n, c.edges)
+			res, err := SymmetricEigen(context.Background(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEigen(t, m, res, c.spectrum, 1e-10)
+		})
+	}
+
+	// The three zero-eigenvalue vectors span the component indicators:
+	// each is constant on every component.
+	m := laplacian(15, three)
+	res, err := SymmetricEigen(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		for _, comp := range [][2]int{{0, 4}, {4, 10}, {10, 15}} {
+			for i := comp[0] + 1; i < comp[1]; i++ {
+				if !almostEq(res.Vectors.At(i, k), res.Vectors.At(comp[0], k), 1e-10) {
+					t.Fatalf("null vector %d not constant on component %v", k, comp)
+				}
+			}
+		}
+	}
+}
+
+func TestEigenRepeatable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	inputs := []*Matrix{
+		randomSymmetric(40, rng),
+		laplacian(15, threeComponents()),
+	}
+	for _, m := range inputs {
+		first, err := SymmetricEigen(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 3; rep++ {
+			again, err := SymmetricEigen(context.Background(), m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := append(first.Values, first.Vectors.Data...)
+			got := append(again.Values, again.Vectors.Data...)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d repeat %d: output %d differs (%v vs %v)", m.Rows, rep, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSymmetricEigen decomposes a 500-node sparse graph Laplacian,
+// the size and shape of a full-scale kernel's clustering input.
+func BenchmarkSymmetricEigen(b *testing.B) {
+	const n = 500
+	rng := rand.New(rand.NewSource(1))
+	edges := pathEdges(0, n)
+	for i := 0; i < n/2; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u != v {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	m := laplacian(n, edges)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := SymmetricEigen(context.Background(), m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = res
+	}
+}
+
+var benchSink *EigenResult

@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear algebra needed by spectral
-// clustering: a small dense matrix type and a Jacobi eigendecomposition
-// for real symmetric matrices. Everything is stdlib-only and
-// deterministic.
+// clustering: a small dense matrix type and a Householder + implicit QL
+// eigendecomposition for real symmetric matrices. Everything is
+// stdlib-only and deterministic.
 package linalg
 
 import "fmt"

@@ -15,7 +15,7 @@ import (
 // CodeVersion is folded into every fingerprint so cached results are
 // never served across algorithm changes. Bump it whenever a change to
 // the mapper stack can alter results for identical inputs.
-const CodeVersion = 3
+const CodeVersion = 4
 
 // Key computes the canonical content address of one mapping
 // computation: the structural DFG fingerprint, the architecture

@@ -1,6 +1,8 @@
 package spectral
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -10,6 +12,21 @@ import (
 func TestEmbedderRejectsEmptyGraph(t *testing.T) {
 	if _, err := NewEmbedder(dfg.New("empty")); err == nil {
 		t.Fatal("accepted empty graph")
+	}
+}
+
+// A cancelled ctx reaches the caller as a matchable context error, so
+// the pipeline classifies a clustering budget as ErrBudget.
+func TestEmbedderCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := dfg.New("pair")
+	g.AddNode(dfg.OpAdd, "")
+	g.AddNode(dfg.OpAdd, "")
+	g.AddEdge(0, 1)
+	g.MustFreeze()
+	if _, err := NewEmbedderCtx(ctx, g); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -39,8 +39,15 @@ type Embedder struct {
 
 // NewEmbedder computes the Laplacian eigendecomposition of the DFG's
 // undirected similarity graph (L = D - A, parallel edges merged with
-// weight equal to their multiplicity).
+// weight equal to their multiplicity). Use NewEmbedderCtx for
+// cancellation.
 func NewEmbedder(g *dfg.Graph) (*Embedder, error) {
+	return NewEmbedderCtx(context.Background(), g)
+}
+
+// NewEmbedderCtx is NewEmbedder with cancellation: the eigensolve
+// checks ctx as it goes and returns ctx.Err() (wrapped) once it fires.
+func NewEmbedderCtx(ctx context.Context, g *dfg.Graph) (*Embedder, error) {
 	if err := faultinject.Fire(faultinject.SiteEigensolve); err != nil {
 		return nil, err
 	}
@@ -49,7 +56,7 @@ func NewEmbedder(g *dfg.Graph) (*Embedder, error) {
 		return nil, fmt.Errorf("spectral: empty graph")
 	}
 	lap := Laplacian(g)
-	eig, err := linalg.SymmetricEigen(lap)
+	eig, err := linalg.SymmetricEigen(ctx, lap)
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
@@ -193,7 +200,7 @@ func SweepCtx(ctx context.Context, g *dfg.Graph, kMin, kMax int, seed int64, wor
 	if kMin > kMax {
 		return nil, pool.Stats{}, fmt.Errorf("spectral: empty sweep range [%d,%d]", kMin, kMax)
 	}
-	em, err := NewEmbedder(g)
+	em, err := NewEmbedderCtx(ctx, g)
 	if err != nil {
 		return nil, pool.Stats{}, err
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"panorama/internal/dfg"
+	"panorama/internal/kernels"
+	"panorama/internal/linalg"
 )
 
 // twoCommunities builds a graph with two dense communities of size sz
@@ -295,6 +297,48 @@ func TestSweepDeterministic(t *testing.T) {
 		for v := range a[i].Assign {
 			if a[i].Assign[v] != b[i].Assign[v] {
 				t.Fatal("sweep not deterministic for equal seeds")
+			}
+		}
+	}
+}
+
+// TestFullScaleEigenAccuracy decomposes the full-scale invertmat
+// Laplacian, whose low spectrum is highly degenerate, and bounds every
+// eigenpair's residual ‖Lv−λv‖∞ and the eigenvectors' departure from
+// orthonormality.
+func TestFullScaleEigenAccuracy(t *testing.T) {
+	spec, err := kernels.ByName("invertmat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lap := Laplacian(spec.Build(1))
+	res, err := linalg.SymmetricEigen(context.Background(), lap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tol = 1e-10
+	n := lap.Rows
+	lv := lap.Mul(res.Vectors)
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			if r := math.Abs(lv.At(i, k) - res.Values[k]*res.Vectors.At(i, k)); r > tol {
+				t.Fatalf("pair %d: residual %.3g at row %d", k, r, i)
+			}
+		}
+	}
+	vt := res.Vectors.Transpose()
+	for a := 0; a < n; a++ {
+		va := vt.Data[a*n : a*n+n]
+		for b := a; b < n; b++ {
+			dot := 0.0
+			for i, x := range vt.Data[b*n : b*n+n] {
+				dot += va[i] * x
+			}
+			if a == b {
+				dot--
+			}
+			if math.Abs(dot) > tol {
+				t.Fatalf("v%d . v%d off by %.3g", a, b, math.Abs(dot))
 			}
 		}
 	}
