@@ -24,8 +24,9 @@
 //	GET  /v1/jobs/{id}   job status/result (?wait=1 blocks)
 //	GET  /v1/result/{fp} cached result by fingerprint
 //	GET  /v1/trace/{id}  the job's span tree (JSON)
-//	GET  /healthz        liveness; GET /metricsz Prometheus metrics;
-//	                     GET /statsz JSON counters (deprecated alias)
+//	GET  /healthz        liveness
+//	GET  /metricsz       every service counter and gauge, then the
+//	                     pipeline metrics (Prometheus text)
 //
 // With -peers (and -self naming this node's own URL in that list) the
 // daemon joins a static fleet: a consistent-hash ring shards mapping
@@ -161,10 +162,9 @@ func main() {
 	}
 
 	// Drain the job queue first, with the endpoints still up: the final
-	// stats of in-flight jobs land in the counters while /metricsz and
-	// /statsz can still be scraped, so a terminating pod's last scrape
-	// is complete instead of losing everything that finished during the
-	// drain. New submissions are already refused (503) the moment the
+	// stats of in-flight jobs land in the counters while /metricsz can
+	// still be scraped, so a terminating pod's last scrape is complete
+	// instead of losing everything that finished during the drain. New submissions are already refused (503) the moment the
 	// service starts draining. Only then close the listeners, and log a
 	// last metrics snapshot for operators with no scraper attached.
 	drainBudget := *drain

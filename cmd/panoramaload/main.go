@@ -12,10 +12,11 @@
 // into a consistent-hash ring on loopback (requires -daemon-bin or
 // panoramad on PATH), drives every peer concurrently with the same
 // deterministic stream — the worst case for cross-peer duplication —
-// and asserts the fleet SLOs after the run: zero failed operations,
-// no misdirected forwards, and at most one pipeline execution per
-// distinct spec summed across all peers. The merged report lands in
-// -out; a non-zero exit means an SLO was violated.
+// and asserts the fleet SLOs after the run, read from every peer's
+// /metricsz: zero failed operations, no misdirected forwards, and at
+// most one pipeline execution per distinct spec summed across all
+// peers. The merged report lands in -out; a non-zero exit means an SLO
+// was violated.
 //
 //	panoramaload -addr http://localhost:8080 -qps 50 -duration 30s \
 //	    -ramp 5s -mix single=70,batch=20,sse=10 -warm 0.5 -out load.json
@@ -26,7 +27,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +41,7 @@ import (
 	"time"
 
 	"panorama/internal/loadtest"
-	"panorama/internal/service"
+	"panorama/internal/obs"
 )
 
 func main() {
@@ -202,7 +202,7 @@ func runParent(ctx context.Context, procs int, qps float64, seed int64, out stri
 // runFleet spawns n panoramad peers wired into one consistent-hash
 // ring on loopback ports, re-executes this binary once per peer with
 // the SAME workload seed (identical streams maximize cross-peer
-// duplication), merges the reports, scrapes every peer's /statsz, and
+// duplication), merges the reports, scrapes every peer's /metricsz, and
 // asserts the fleet SLOs: zero failures, zero misdirected forwards,
 // and — since every stream is identical — no more fleet-wide pipeline
 // executions than one stream's distinct specs.
@@ -353,14 +353,14 @@ func runFleet(ctx context.Context, n int, bin string, qps float64, seed int64, o
 	// Scrape every peer's view of the run before draining them.
 	var executed, forwarded, fallback, misdirected int64
 	for i, u := range urls {
-		st, err := scrapeStats(ctx, u)
+		m, err := scrapeMetrics(ctx, u)
 		if err != nil {
-			return fmt.Errorf("peer %d statsz: %w", i, err)
+			return fmt.Errorf("peer %d metricsz: %w", i, err)
 		}
-		executed += st.Executed
-		forwarded += st.ClusterForwarded
-		fallback += st.ClusterFallback
-		misdirected += st.ClusterMisdirected
+		executed += int64(m["panorama_service_executed_total"])
+		forwarded += int64(m["panorama_cluster_forwarded_total"])
+		fallback += int64(m["panorama_cluster_forward_fallback_total"])
+		misdirected += int64(m["panorama_cluster_misdirected_total"])
 	}
 	fmt.Printf("  fleet:  peers=%d executed=%d distinct=%d forwarded=%d fallback=%d misdirected=%d\n",
 		n, executed, maxDistinct, forwarded, fallback, misdirected)
@@ -414,22 +414,21 @@ func waitHealthy(ctx context.Context, url string, budget time.Duration) error {
 	}
 }
 
-// scrapeStats fetches one peer's /statsz snapshot.
-func scrapeStats(ctx context.Context, url string) (service.Stats, error) {
-	var st service.Stats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/statsz", nil)
+// scrapeMetrics fetches one peer's /metricsz samples.
+func scrapeMetrics(ctx context.Context, url string) (map[string]float64, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metricsz", nil)
 	if err != nil {
-		return st, err
+		return nil, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return st, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("status %d", resp.StatusCode)
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	return st, json.NewDecoder(resp.Body).Decode(&st)
+	return obs.ParseSamples(resp.Body)
 }
 
 func printSummary(r *loadtest.Report) {

@@ -105,10 +105,10 @@ func TestFleetSoak(t *testing.T) {
 	// have happened; and a static, agreed ring must never misdirect.
 	var forwarded, misdirected, peersDown int64
 	for _, h := range f.Peers {
-		st := h.Srv.Stats()
-		forwarded += st.ClusterForwarded
-		misdirected += st.ClusterMisdirected
-		peersDown += int64(st.ClusterPeersDown)
+		st := metricsOf(t, h.Srv)
+		forwarded += int64(st["panorama_cluster_forwarded_total"])
+		misdirected += int64(st["panorama_cluster_misdirected_total"])
+		peersDown += int64(st["panorama_cluster_peers_down"])
 	}
 	if forwarded == 0 {
 		t.Error("no operation was forwarded; the ring was not exercised")
@@ -227,11 +227,11 @@ func TestFleetOwnerKillMidJob(t *testing.T) {
 		t.Errorf("origin executed the victim %d times, want 1", n)
 	}
 
-	st := origin.Srv.Stats()
-	if st.ClusterFallback != 1 {
-		t.Errorf("origin fallbacks = %d, want 1", st.ClusterFallback)
+	st := metricsOf(t, origin.Srv)
+	if st["panorama_cluster_forward_fallback_total"] != 1 {
+		t.Errorf("origin fallbacks = %v, want 1", st["panorama_cluster_forward_fallback_total"])
 	}
-	if st.ClusterPeersDown != 1 {
-		t.Errorf("origin sees %d peers down, want 1", st.ClusterPeersDown)
+	if st["panorama_cluster_peers_down"] != 1 {
+		t.Errorf("origin sees %v peers down, want 1", st["panorama_cluster_peers_down"])
 	}
 }

@@ -11,8 +11,24 @@ import (
 
 	"panorama/internal/core"
 	"panorama/internal/journal"
+	"panorama/internal/obs"
 	"panorama/internal/service"
 )
+
+// metricsOf reads srv's /metricsz exposition back through
+// obs.ParseSamples, the way a scraper sees the service counters.
+func metricsOf(t *testing.T, srv *service.Server) map[string]float64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := srv.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseSamples(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // soakOptions is the shared server shape for soak runs: enough workers
 // to keep up with the open-loop schedule, a queue that never rejects,
@@ -233,20 +249,21 @@ func TestDrainMidLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart NewHarness: %v", err)
 	}
-	st := h2.Srv.Stats()
-	if st.Recovered == 0 {
+	st := metricsOf(t, h2.Srv)
+	if st["panorama_service_recovered_total"] == 0 {
 		t.Fatal("restart recovered no jobs; the drain left no backlog to replay")
 	}
 	// Let the replayed backlog finish: the queue drains and the last
 	// worker goes idle.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		st = h2.Srv.Stats()
-		if st.QueueDepth == 0 && st.RunningJobs == 0 {
+		st = metricsOf(t, h2.Srv)
+		if st["panorama_service_queue_depth"] == 0 && st["panorama_service_running_jobs"] == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("recovered backlog never drained: queue=%d running=%d", st.QueueDepth, st.RunningJobs)
+			t.Fatalf("recovered backlog never drained: queue=%v running=%v",
+				st["panorama_service_queue_depth"], st["panorama_service_running_jobs"])
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

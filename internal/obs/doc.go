@@ -26,15 +26,18 @@
 //
 // # Metrics
 //
-// A process-wide [Registry] ([Default]) holds counters, gauges, and
-// histograms. Hot paths touch only atomics: counters are a single
-// atomic add, histogram observation is an atomic bucket increment plus
-// a CAS-accumulated sum; label lookup ([CounterVec.With]) can be done
-// once and the returned child retained. The registry serialises in
-// Prometheus text exposition format ([Registry.WriteProm]; served at
-// /metricsz by panoramad) and snapshots to a flat map
-// ([Registry.Snapshot]) so the bench harness can print per-table
-// solver-effort deltas.
+// A process-wide [Registry] ([Default]) holds the pipeline's counters
+// and histograms; each service.Server owns another for its own
+// counters. Hot paths touch only atomics: counters are a single atomic
+// add, histogram observation is an atomic bucket increment plus a
+// CAS-accumulated sum; label lookup ([CounterVec.With]) can be done
+// once and the returned child retained. Gauges and values kept
+// elsewhere are callbacks ([Registry.Func]) sampled at exposition
+// time. The registry serialises in Prometheus text exposition format
+// ([Registry.WriteProm]; served at /metricsz by panoramad), snapshots
+// to a flat map ([Registry.Snapshot]) so the bench harness can print
+// per-table solver-effort deltas, and [ParseSamples] reads an
+// exposition back into the same flat map.
 //
 // OBSERVABILITY.md is the operator-facing reference: every metric name
 // with type, labels, and meaning, plus how to read trace dumps and

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,8 +14,8 @@ import (
 
 // Default is the process-wide metrics registry. Package-level metric
 // variables across the pipeline register here at init time; panoramad
-// serves it at /metricsz and the bench harness diffs its Snapshot for
-// the per-table effort appendix.
+// serves it at /metricsz (after each server's own registry) and the
+// bench harness diffs its Snapshot for the per-table effort appendix.
 var Default = NewRegistry()
 
 // Registry holds metric families and serialises them in Prometheus
@@ -34,7 +36,6 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]metric
-	gaugeFn  func() float64 // label-less callback gauge (typ "gauge")
 }
 
 // metric is one labelled child of a family.
@@ -108,27 +109,38 @@ func (v *CounterVec) With(vals ...string) *Counter {
 	return v.f.child(vals, func() metric { return &Counter{} }).(*Counter)
 }
 
-// NewCounter registers a label-less counter on Default.
-func NewCounter(name, help string) *Counter {
-	f := Default.register(name, help, "counter", nil)
+// Counter registers (or fetches) a label-less counter on r.
+func (r *Registry) Counter(name, help string) *Counter {
+	f := r.register(name, help, "counter", nil)
 	return f.child(nil, func() metric { return &Counter{} }).(*Counter)
 }
 
-// NewCounterVec registers a labelled counter family on Default.
-func NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{f: Default.register(name, help, "counter", labels)}
+// CounterVec registers (or fetches) a labelled counter family on r.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	return &CounterVec{f: r.register(name, help, "counter", labels)}
 }
 
-// RegisterGauge registers (or replaces) a callback gauge on Default:
-// fn is sampled at exposition time, so instantaneous values like queue
-// depth need no write-path bookkeeping. Replacement keeps tests that
-// build several servers in one process from tripping the duplicate
-// check; the live server registered last wins.
-func RegisterGauge(name, help string, fn func() float64) {
-	f := Default.register(name, help, "gauge", nil)
-	f.mu.Lock()
-	f.gaugeFn = fn
-	f.mu.Unlock()
+// NewCounter registers a label-less counter on Default.
+func NewCounter(name, help string) *Counter { return Default.Counter(name, help) }
+
+// NewCounterVec registers a labelled counter family on Default.
+func NewCounterVec(name, help string, labels ...string) *CounterVec {
+	return Default.CounterVec(name, help, labels...)
+}
+
+// funcSample is a callback child: read at exposition time, so live
+// values (queue depth, float-valued totals kept elsewhere) need no
+// write-path bookkeeping.
+type funcSample func() float64
+
+func (f funcSample) sample() []float64 { return []float64{f()} }
+
+// Func registers fn as the child of family name (type typ, "counter"
+// or "gauge") with the given label values; fn is sampled on every
+// WriteProm and Snapshot. Registering the same label values again
+// keeps the first callback.
+func (r *Registry) Func(typ, name, help string, labels, vals []string, fn func() float64) {
+	r.register(name, help, typ, labels).child(vals, func() metric { return funcSample(fn) })
 }
 
 // Histogram is a fixed-bucket distribution. Observe is an atomic
@@ -236,7 +248,6 @@ func (f *family) writeProm(w io.Writer) error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	gaugeFn := f.gaugeFn
 	type row struct {
 		vals []string
 		m    metric
@@ -253,10 +264,6 @@ func (f *family) writeProm(w io.Writer) error {
 
 	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
 		f.name, escapeHelp(f.help), f.name, f.typ); err != nil {
-		return err
-	}
-	if gaugeFn != nil {
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(gaugeFn()))
 		return err
 	}
 	for _, r := range rows {
@@ -347,11 +354,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	r.mu.Unlock()
 	for _, f := range fams {
 		f.mu.Lock()
-		if f.gaugeFn != nil {
-			out[f.name] = f.gaugeFn()
-			f.mu.Unlock()
-			continue
-		}
 		for k, m := range f.children {
 			var vals []string
 			if k != "" || len(f.labels) > 0 {
@@ -368,4 +370,41 @@ func (r *Registry) Snapshot() map[string]float64 {
 		f.mu.Unlock()
 	}
 	return out
+}
+
+// ParseSamples reads Prometheus text exposition (a WriteProm body, or
+// a whole /metricsz scrape) back into the flat form Snapshot returns:
+// one key per sample line, name plus label set, with histogram bucket
+// lines skipped. It is how a scraper reads a peer's counters.
+func ParseSamples(rd io.Reader) (map[string]float64, error) {
+	out := make(map[string]float64)
+	hist := make(map[string]bool)
+	sc := bufio.NewScanner(rd)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, typ, _ := strings.Cut(rest, " "); typ == "histogram" {
+				hist[name] = true
+			}
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			return nil, fmt.Errorf("obs: malformed sample line %q", line)
+		}
+		key := line[:i]
+		name, _, _ := strings.Cut(key, "{")
+		if base, ok := strings.CutSuffix(name, "_bucket"); ok && hist[base] {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("obs: sample line %q: %w", line, err)
+		}
+		out[key] = v
+	}
+	return out, sc.Err()
 }

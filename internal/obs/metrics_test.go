@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"panorama/internal/obs/obstest"
@@ -49,11 +50,74 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestRegisterGaugeReplaces(t *testing.T) {
-	RegisterGauge("obstest_gauge", "test gauge", func() float64 { return 1 })
-	RegisterGauge("obstest_gauge", "test gauge", func() float64 { return 42 })
-	if v := Default.Snapshot()["obstest_gauge"]; v != 42 {
-		t.Fatalf("gauge reads %g, want the replacement's 42", v)
+// Func registers callback children: a labelled counter family with
+// one callback per label value, and a label-less gauge, both sampled
+// at exposition time.
+func TestRegistryFunc(t *testing.T) {
+	r := NewRegistry()
+	var ns atomic.Int64
+	for _, stage := range []string{"lower", "clustering"} {
+		r.Func("counter", "functest_seconds_total", "per-stage seconds", []string{"stage"}, []string{stage},
+			func() float64 { return float64(ns.Load()) / 1e9 })
+	}
+	depth := 3
+	r.Func("gauge", "functest_depth", "queue depth", nil, nil, func() float64 { return float64(depth) })
+	ns.Store(1500000000)
+	depth = 7
+
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `# HELP functest_depth queue depth
+# TYPE functest_depth gauge
+functest_depth 7
+# HELP functest_seconds_total per-stage seconds
+# TYPE functest_seconds_total counter
+functest_seconds_total{stage="clustering"} 1.5
+functest_seconds_total{stage="lower"} 1.5
+`
+	if b.String() != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", b.String(), want)
+	}
+	snap := r.Snapshot()
+	if snap["functest_depth"] != 7 || snap[`functest_seconds_total{stage="lower"}`] != 1.5 {
+		t.Fatalf("snapshot does not sample the callbacks: %v", snap)
+	}
+}
+
+// ParseSamples reads a WriteProm body back into exactly the map
+// Snapshot builds: every shape, labels, floats and histograms.
+func TestParseSamplesMatchesSnapshot(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("parsetest_plain_total", "plain").Add(12)
+	vec := r.CounterVec("parsetest_labelled_total", "labelled", "class", "site")
+	vec.With("budget", "a").Inc()
+	vec.With("other", `q"uote`).Add(3)
+	r.Func("gauge", "parsetest_rate", "rate", nil, nil, func() float64 { return 1.0 / 3 })
+	h := &HistogramVec{f: r.register("parsetest_seconds", "hist", "histogram", []string{"stage"}), bounds: TimeBuckets}
+	h.With("lower").Observe(0.2)
+	h.With("lower").Observe(7.25)
+
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseSamples(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("parsed %d samples, snapshot has %d:\n%v\n%v", len(got), len(want), got, want)
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			t.Fatalf("sample %s: parsed %v (present %v), snapshot %v", k, g, ok, v)
+		}
+	}
+	if _, err := ParseSamples(strings.NewReader("no_value_here\n")); err == nil {
+		t.Fatal("a sample line without a value must be an error")
 	}
 }
 
@@ -87,7 +151,7 @@ func TestWritePromIsValidAndStable(t *testing.T) {
 	NewCounterVec("obstest_prom_labelled_total", "labelled", "stage").With("clustering").Inc()
 	NewHistogramVec("obstest_prom_seconds", "labelled histogram", TimeBuckets, "stage").
 		With("lower").Observe(0.2)
-	RegisterGauge("obstest_prom_gauge", "gauge", func() float64 { return 2.5 })
+	Default.Func("gauge", "obstest_prom_gauge", "gauge", nil, nil, func() float64 { return 2.5 })
 
 	var a, b strings.Builder
 	if err := Default.WriteProm(&a); err != nil {

@@ -138,14 +138,16 @@ func (s *Server) Batch(id string) (*Batch, bool) {
 }
 
 // submitBatch runs one admission decision over the resolved items
-// (nil slots are items the caller already rejected at resolve time).
-// The decision is atomic: either every item that needs a fresh
-// computation fits the queue — and all of them are journaled and
+// (nil slots are items the caller already rejected at resolve time);
+// it is the service's only admission path, single submissions being a
+// batch of one. The decision is atomic: either every item that needs a
+// fresh computation fits the queue — and all of them are journaled and
 // enqueued — or nothing is admitted and the whole batch is rejected
 // with ErrOverloaded (ErrShedding/ErrDraining likewise reject it
-// wholesale). Cache hits never reject; identical fingerprints within
-// the batch dedup onto one job; fingerprints already in flight
-// coalesce onto the running job.
+// wholesale). Cache hits never reject, even while the breaker sheds or
+// the server drains — they cost nothing and can't fail. Identical
+// fingerprints within the batch dedup onto one job; fingerprints
+// already in flight coalesce onto the running job.
 func (s *Server) submitBatch(reqs []*resolved) ([]Outcome, error) {
 	outs := make([]Outcome, len(reqs))
 	type pendingItem struct {
@@ -171,26 +173,28 @@ func (s *Server) submitBatch(reqs []*resolved) ([]Outcome, error) {
 			s.stats.shed.Add(int64(len(pending)))
 			return nil, ErrShedding
 		case breakerDegrade:
-			for k := range pending {
-				req := pending[k].req
-				if m := DegradeMapper(req.mapper); m != "" {
-					req = req.withMapper(m)
-					pending[k].req = req
-					s.stats.degraded.Add(1)
-					if e, ok := s.cache.Get(req.fingerprint); ok {
-						outs[pending[k].i] = Outcome{Entry: &e}
-						pending[k].req = nil
+			// Serve a worse answer rather than none: admit the items on
+			// the next-cheaper mapper rung (which gets its own
+			// fingerprint — a degraded result must never answer a later
+			// full-strength request).
+			kept := pending[:0]
+			for _, p := range pending {
+				if m := DegradeMapper(p.req.mapper); m != "" {
+					p.req = p.req.withMapper(m)
+					s.stats.degraded.Inc()
+					if e, ok := s.cache.Get(p.req.fingerprint); ok {
+						outs[p.i] = Outcome{Entry: &e}
+						continue
 					}
 				}
+				kept = append(kept, p)
 			}
+			pending = kept
 		}
 	}
 
 	if s.journal != nil {
 		for k := range pending {
-			if pending[k].req == nil {
-				continue
-			}
 			blob, err := encodeJobPayload(pending[k].req)
 			if err != nil {
 				// The job still runs; it just can't be replayed.
@@ -201,86 +205,89 @@ func (s *Server) submitBatch(reqs []*resolved) ([]Outcome, error) {
 	}
 
 	s.mu.Lock()
-	if s.draining {
+	if s.draining && len(pending) > 0 {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
 	// Plan first: how many genuinely new jobs does the batch need once
 	// in-flight coalescing and within-batch dedup are accounted for?
 	newJobs := 0
-	batchFirst := make(map[string]int) // fingerprint → pending index of first occurrence
-	for k := range pending {
-		req := pending[k].req
-		if req == nil {
-			continue
+	planned := make(map[string]bool)
+	kept := pending[:0]
+	for _, p := range pending {
+		fp := p.req.fingerprint
+		if _, inFlight := s.flight[fp]; !inFlight && !planned[fp] {
+			// An in-flight twin may have reached its terminal state
+			// between the unlocked cache check above and this lock.
+			// finishDone publishes to the cache before unregistering,
+			// and unregister synchronizes on s.mu, so when the flight
+			// index is empty here a re-check cannot miss the twin's
+			// result — without it, an item landing in that window would
+			// re-execute a fingerprint that just completed.
+			if e, ok := s.cache.Get(fp); ok {
+				outs[p.i] = Outcome{Entry: &e}
+				continue
+			}
+			planned[fp] = true
+			newJobs++
 		}
-		if _, inFlight := s.flight[req.fingerprint]; inFlight {
-			continue
-		}
-		if _, dup := batchFirst[req.fingerprint]; dup {
-			continue
-		}
-		batchFirst[req.fingerprint] = k
-		newJobs++
+		kept = append(kept, p)
 	}
+	pending = kept
 	if free := cap(s.queue) - len(s.queue); newJobs > free {
 		s.mu.Unlock()
 		s.stats.rejected.Add(int64(len(pending)))
 		return nil, ErrOverloaded
 	}
 	created := make(map[string]*Job, newJobs)
-	for k := range pending {
-		req := pending[k].req
-		if req == nil {
-			continue
-		}
+	for _, p := range pending {
+		req := p.req
 		// The created map first: a job made for an earlier item of this
 		// batch is already in s.flight too, and must read as a
 		// within-batch dup, not a coalesce onto pre-existing work.
 		if job, ok := created[req.fingerprint]; ok {
-			outs[pending[k].i] = Outcome{Job: job, Coalesced: true, Dup: true}
+			outs[p.i] = Outcome{Job: job, Coalesced: true, Dup: true}
 			continue
 		}
 		if job, ok := s.flight[req.fingerprint]; ok {
-			outs[pending[k].i] = Outcome{Job: job, Coalesced: true}
+			outs[p.i] = Outcome{Job: job, Coalesced: true}
 			continue
 		}
 		s.nextID++
-		job := &Job{
-			ID:          fmt.Sprintf("job-%06d", s.nextID),
-			Fingerprint: req.fingerprint,
-			Mapper:      req.mapper,
-			Seed:        req.seed,
-			Budgets:     req.budgets,
-			req:         req,
-			status:      JobQueued,
-			created:     time.Now(),
-			done:        make(chan struct{}),
-			events:      newEventLog(),
-		}
+		job := newJob(fmt.Sprintf("job-%06d", s.nextID), req)
 		s.jobs[job.ID] = job
 		s.flight[job.Fingerprint] = job
 		created[req.fingerprint] = job
-		s.jlog(Record{Kind: journal.Submitted, JobID: job.ID, Key: job.Fingerprint, Blob: pending[k].blob})
+		// The Submitted record goes in before the job can be dequeued
+		// so a worker's Started record never precedes it in the
+		// journal, and the queued event before the enqueue so no
+		// subscriber sees a running event first. Peer-forwarded jobs
+		// journal their origin so a post-crash operator can tell
+		// replayed fleet traffic from local submissions.
+		note := ""
+		if req.origin != "" {
+			note = "origin:" + req.origin
+		}
+		s.jlog(Record{Kind: journal.Submitted, JobID: job.ID, Key: job.Fingerprint, Note: note, Blob: p.blob})
 		job.emit(JobQueued)
 		s.queue <- job // capacity checked above, never blocks
-		outs[pending[k].i] = Outcome{Job: job}
+		outs[p.i] = Outcome{Job: job}
 	}
 	s.mu.Unlock()
 
-	// Per-item stats, identical buckets to the single-submit path.
+	// Per-item stats: every admitted item is one accepted submission.
 	for i, req := range reqs {
 		if req == nil {
 			continue
 		}
-		s.stats.submitted.Add(1)
+		s.stats.submitted.Inc()
 		switch {
 		case outs[i].Entry != nil:
-			s.stats.hits.Add(1)
+			s.stats.hits.Inc()
 		case outs[i].Coalesced:
-			s.stats.coalesced.Add(1)
+			s.stats.coalesced.Inc()
 		default:
-			s.stats.misses.Add(1)
+			s.stats.misses.Inc()
 		}
 	}
 	return outs, nil
@@ -343,30 +350,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	s.stats.batchRequests.Add(1)
 	outs, err := s.submitBatch(reqs)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		s.stats.batchRejected.Add(1)
-		admit.Set("rejected", "overloaded")
+	if err != nil {
+		if class := s.writeAdmissionError(w, err); class != "internal" {
+			s.stats.batchRejected.Inc()
+			admit.Set("rejected", class)
+		}
 		admit.End()
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "overloaded", err)
-		return
-	case errors.Is(err, ErrDraining):
-		s.stats.batchRejected.Add(1)
-		admit.Set("rejected", "draining")
-		admit.End()
-		httpError(w, http.StatusServiceUnavailable, "draining", err)
-		return
-	case errors.Is(err, ErrShedding):
-		s.stats.batchRejected.Add(1)
-		admit.Set("rejected", "shedding")
-		admit.End()
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusServiceUnavailable, "shedding", err)
-		return
-	case err != nil:
-		admit.End()
-		httpError(w, http.StatusInternalServerError, "internal", err)
 		return
 	}
 

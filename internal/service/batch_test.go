@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -136,9 +139,9 @@ func TestBatchSubmit(t *testing.T) {
 		t.Fatalf("batch trace: status %d dump %+v", code, d)
 	}
 
-	st := getStats(t, ts.URL)
-	if st.BatchRequests != 1 || st.BatchItemsHit != 1 || st.BatchItemsDup != 1 ||
-		st.BatchItemsEnqueued != 2 || st.BatchItemsError != 2 {
+	st := metricsOf(t, srv)
+	if st["panorama_batch_requests_total"] != 1 || st[`panorama_batch_items_total{disposition="hit"}`] != 1 || st[`panorama_batch_items_total{disposition="dup"}`] != 1 ||
+		st[`panorama_batch_items_total{disposition="enqueued"}`] != 2 || st[`panorama_batch_items_total{disposition="error"}`] != 2 {
 		t.Fatalf("batch stats: %+v", st)
 	}
 
@@ -189,7 +192,7 @@ func TestBatchAtomicAdmission(t *testing.T) {
 		t.Fatalf("job 2: status %d", code)
 	}
 
-	before := getStats(t, ts.URL)
+	before := metricsOf(t, srv)
 	code, hdr, _ := postBatch(t, ts.URL, `{"items":[{"kernel":"fir","seed":3},{"kernel":"fir","seed":4}]}`)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("batch over capacity: status %d, want 429", code)
@@ -199,12 +202,12 @@ func TestBatchAtomicAdmission(t *testing.T) {
 	if got := hdr.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want \"7\"", got)
 	}
-	after := getStats(t, ts.URL)
-	if after.BatchRejected != before.BatchRejected+1 {
-		t.Fatalf("batchRejected %d → %d, want +1", before.BatchRejected, after.BatchRejected)
+	after := metricsOf(t, srv)
+	if after["panorama_batch_rejected_total"] != before["panorama_batch_rejected_total"]+1 {
+		t.Fatalf("batchRejected %v → %v, want +1", before["panorama_batch_rejected_total"], after["panorama_batch_rejected_total"])
 	}
 	// Atomicity: neither seed-3 nor seed-4 left any trace.
-	if after.BatchItemsEnqueued != 0 || after.Submitted != before.Submitted {
+	if after[`panorama_batch_items_total{disposition="enqueued"}`] != 0 || after["panorama_service_submitted_total"] != before["panorama_service_submitted_total"] {
 		t.Fatalf("partial admission leaked: %+v", after)
 	}
 
@@ -216,5 +219,112 @@ func TestBatchAtomicAdmission(t *testing.T) {
 	}
 	if v.Coalesced != 1 || v.Items[0].Cache != "coalesced" {
 		t.Fatalf("batch item did not coalesce: %+v", v)
+	}
+}
+
+// A single POST /v1/map and a one-item POST /v1/batch run the same
+// admission path: for every admission outcome, the two surfaces answer
+// with the same status and cache disposition and move the service
+// counters identically (the batch_* families aside, which only batches
+// count).
+func TestSingleSubmitIsBatchOfOne(t *testing.T) {
+	const item = `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":%d}`
+	cases := []struct {
+		name   string
+		status int
+		cache  string
+		// setup puts a fresh server into the state under test; the
+		// measured request is always seed 1.
+		setup func(t *testing.T, srv *Server, url string)
+	}{
+		{"hit", http.StatusOK, "hit", func(t *testing.T, srv *Server, url string) {
+			res, err := srv.resolve(&Request{Kernel: "fir", Scale: 0.25, Arch: "8x8", Mapper: "pan-spr", Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Cache().Put(Entry{Fingerprint: res.fingerprint, Summary: core.Summary{Kernel: "fir"}}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"coalesce", http.StatusAccepted, "coalesced", func(t *testing.T, srv *Server, url string) {
+			postMap(t, url, fmt.Sprintf(item, 1))
+		}},
+		{"enqueue", http.StatusAccepted, "", func(t *testing.T, srv *Server, url string) {}},
+		{"shed", http.StatusServiceUnavailable, "", func(t *testing.T, srv *Server, url string) {
+			for i := 0; i < 4; i++ {
+				srv.breaker.record(true)
+			}
+		}},
+		{"draining", http.StatusServiceUnavailable, "", func(t *testing.T, srv *Server, url string) {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"queue-full", http.StatusTooManyRequests, "", func(t *testing.T, srv *Server, url string) {
+			postMap(t, url, fmt.Sprintf(item, 2))
+			waitFor(t, func() bool { return srv.running.Load() == 1 }, "the first job to start")
+			postMap(t, url, fmt.Sprintf(item, 3))
+		}},
+	}
+	type outcome struct {
+		status int
+		cache  string
+		deltas map[string]float64
+	}
+	submit := func(t *testing.T, setup func(*testing.T, *Server, string), batch bool) outcome {
+		release := make(chan struct{})
+		run := func(ctx context.Context, job *Job) (core.Summary, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			return core.Summary{Kernel: "stub", Success: true}, nil
+		}
+		srv, err := New(Options{Workers: 1, QueueSize: 1, Run: run, BreakerWindow: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer func() {
+			close(release)
+			srv.Shutdown(context.Background())
+			ts.Close()
+		}()
+		setup(t, srv, ts.URL)
+		before := metricsOf(t, srv)
+		var out outcome
+		if batch {
+			code, _, v := postBatch(t, ts.URL, `{"items":[`+fmt.Sprintf(item, 1)+`]}`)
+			out.status = code
+			if len(v.Items) == 1 {
+				out.cache = v.Items[0].Cache
+			}
+		} else {
+			code, v := postMap(t, ts.URL, fmt.Sprintf(item, 1))
+			out.status, out.cache = code, v.Cache
+		}
+		out.deltas = map[string]float64{}
+		for k, v := range metricsOf(t, srv) {
+			if strings.Contains(k, "_total") && !strings.HasPrefix(k, "panorama_batch_") && v != before[k] {
+				out.deltas[k] = v - before[k]
+			}
+		}
+		return out
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			single := submit(t, tc.setup, false)
+			batch := submit(t, tc.setup, true)
+			if single.status != tc.status || single.cache != tc.cache {
+				t.Fatalf("/v1/map: status %d cache %q, want %d %q", single.status, single.cache, tc.status, tc.cache)
+			}
+			if batch.status != single.status || batch.cache != single.cache {
+				t.Fatalf("/v1/batch: status %d cache %q, /v1/map: %d %q",
+					batch.status, batch.cache, single.status, single.cache)
+			}
+			if !reflect.DeepEqual(single.deltas, batch.deltas) {
+				t.Fatalf("counter deltas differ:\n/v1/map   %v\n/v1/batch %v", single.deltas, batch.deltas)
+			}
+		})
 	}
 }

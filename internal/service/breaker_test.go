@@ -91,9 +91,9 @@ func TestBreakerShedsLoad(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
-	st := getStats(t, ts.URL)
-	if st.Shed != 1 || st.BreakerState != "shed" {
-		t.Fatalf("shed=%d breakerState=%q, want 1/shed", st.Shed, st.BreakerState)
+	st := metricsOf(t, srv)
+	if st["panorama_service_shed_total"] != 1 || st["panorama_service_breaker_state"] != float64(breakerShed) {
+		t.Fatalf("shed=%v breakerState=%v, want 1/2", st["panorama_service_shed_total"], st["panorama_service_breaker_state"])
 	}
 
 	// A result already in the cache still serves while shedding.
@@ -145,8 +145,8 @@ func TestBreakerDegradesAdmissions(t *testing.T) {
 			t.Fatalf("seed %d: status %d, want %d", seed, code, want)
 		}
 	}
-	if st := getStats(t, ts.URL); st.BreakerState != "degrade" {
-		t.Fatalf("breakerState=%q rate=%v, want degrade", st.BreakerState, st.BreakerFailureRate)
+	if st := metricsOf(t, srv); st["panorama_service_breaker_state"] != float64(breakerDegrade) {
+		t.Fatalf("breakerState=%v rate=%v, want 1 (degrade)", st["panorama_service_breaker_state"], st["panorama_service_breaker_failure_rate"])
 	}
 	// A pan-spr request is admitted on the pan-ultrafast rung.
 	code, v := postMap(t, ts.URL, `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":5,"wait":true}`)
@@ -156,7 +156,7 @@ func TestBreakerDegradesAdmissions(t *testing.T) {
 	if v.Mapper != "pan-ultrafast" {
 		t.Fatalf("degraded admission ran mapper %q, want pan-ultrafast", v.Mapper)
 	}
-	if st := getStats(t, ts.URL); st.Degraded == 0 {
+	if st := metricsOf(t, srv); st["panorama_service_degraded_total"] == 0 {
 		t.Fatal("admission degrade not counted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"panorama/internal/core"
+	"panorama/internal/obs"
 )
 
 // postMap POSTs a /v1/map request and decodes the JobView response.
@@ -34,18 +35,19 @@ func postMap(t *testing.T, url string, body string) (int, JobView) {
 	return resp.StatusCode, v
 }
 
-func getStats(t *testing.T, url string) Stats {
+// metricsOf reads srv's /metricsz exposition back through
+// obs.ParseSamples: the one way tests observe the service counters.
+func metricsOf(t *testing.T, srv *Server) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/statsz")
+	var b bytes.Buffer
+	if err := srv.WriteMetrics(&b); err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseSamples(&b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return m
 }
 
 // The satellite requirement: N racing clients submitting the identical
@@ -99,9 +101,9 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 
 	// Admit everyone before releasing the single computation.
 	deadline := time.Now().Add(10 * time.Second)
-	for getStats(t, ts.URL).Submitted < clients {
+	for metricsOf(t, srv)["panorama_service_submitted_total"] < clients {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d clients admitted", getStats(t, ts.URL).Submitted, clients)
+			t.Fatalf("only %v/%v clients admitted", metricsOf(t, srv)["panorama_service_submitted_total"], clients)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -141,10 +143,10 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 		t.Fatalf("%d clients coalesced, want %d", coalesced, clients-1)
 	}
 
-	st := getStats(t, ts.URL)
-	if st.CacheMisses != 1 || st.Coalesced != clients-1 || st.CacheHits != 0 {
-		t.Fatalf("stats misses=%d coalesced=%d hits=%d, want 1/%d/0",
-			st.CacheMisses, st.Coalesced, st.CacheHits, clients-1)
+	st := metricsOf(t, srv)
+	if st["panorama_service_cache_misses_total"] != 1 || st["panorama_service_coalesced_total"] != clients-1 || st["panorama_service_cache_hits_total"] != 0 {
+		t.Fatalf("stats misses=%v coalesced=%v hits=%v, want 1/%v/0",
+			st["panorama_service_cache_misses_total"], st["panorama_service_coalesced_total"], st["panorama_service_cache_hits_total"], clients-1)
 	}
 
 	// Once published, the same submission is a pure cache hit.

@@ -143,8 +143,8 @@ func TestCrashRecoveryExactlyOnce(t *testing.T) {
 	}
 	defer srv2.Shutdown(context.Background())
 
-	if st := srv2.Stats(); st.Recovered != 5 {
-		t.Fatalf("recovered %d jobs, want 5 (seeds 4-8)", st.Recovered)
+	if st := metricsOf(t, srv2); st["panorama_service_recovered_total"] != 5 {
+		t.Fatalf("recovered %v jobs, want 5 (seeds 4-8)", st["panorama_service_recovered_total"])
 	}
 	for _, ref := range refs[3:] {
 		job, ok := srv2.Job(ref.id)
@@ -365,8 +365,8 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 	if requeued == 0 {
 		t.Fatal("no queued job was marked requeue-on-restart by the drain")
 	}
-	if st := srv1.Stats(); st.Requeued != int64(requeued) {
-		t.Fatalf("requeued stat %d, want %d", st.Requeued, requeued)
+	if st := metricsOf(t, srv1); int(st["panorama_service_requeued_total"]) != requeued {
+		t.Fatalf("requeued stat %v, want %v", st["panorama_service_requeued_total"], requeued)
 	}
 
 	srv2, err := New(Options{
@@ -383,8 +383,8 @@ func TestDrainRequeuesAndRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Shutdown(context.Background())
-	if st := srv2.Stats(); int(st.Recovered) != requeued {
-		t.Fatalf("recovered %d jobs after drain, want %d", st.Recovered, requeued)
+	if st := metricsOf(t, srv2); int(st["panorama_service_recovered_total"]) != requeued {
+		t.Fatalf("recovered %v jobs after drain, want %v", st["panorama_service_recovered_total"], requeued)
 	}
 	for _, j := range jobs[1:] {
 		if j.View().Status != JobRequeued {

@@ -158,8 +158,8 @@ func TestJobEventsStream(t *testing.T) {
 		t.Fatalf("terminal event carries no result: %+v", last.Job)
 	}
 
-	st := getStats(t, ts.URL)
-	if st.SSEStreams != 1 || st.SSESent != 3 || st.SSEActive != 0 {
+	st := metricsOf(t, srv)
+	if st["panorama_sse_streams_total"] != 1 || st["panorama_sse_events_sent_total"] != 3 || st["panorama_sse_active_streams"] != 0 {
 		t.Fatalf("sse stats: %+v", st)
 	}
 
@@ -233,8 +233,8 @@ func TestJobEventsResume(t *testing.T) {
 	}
 	resp3.Body.Close()
 
-	if st := getStats(t, ts.URL); st.SSEResumed != 2 {
-		t.Fatalf("sseResumed = %d, want 2", st.SSEResumed)
+	if st := metricsOf(t, srv); st["panorama_sse_resumed_total"] != 2 {
+		t.Fatalf("sseResumed = %v, want 2", st["panorama_sse_resumed_total"])
 	}
 }
 

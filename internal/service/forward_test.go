@@ -112,12 +112,12 @@ func TestForwardToOwner(t *testing.T) {
 	if _, ok := p.srvA.Cache().Get(fp); !ok {
 		t.Fatal("origin cache not peer-filled from the owner response")
 	}
-	stA, stB := getStats(t, p.tsA.URL), getStats(t, p.tsB.URL)
-	if stA.ClusterForwarded != 1 || stA.ClusterFallback != 0 {
-		t.Errorf("origin stats: forwarded=%d fallback=%d, want 1/0", stA.ClusterForwarded, stA.ClusterFallback)
+	stA, stB := metricsOf(t, p.srvA), metricsOf(t, p.srvB)
+	if stA["panorama_cluster_forwarded_total"] != 1 || stA["panorama_cluster_forward_fallback_total"] != 0 {
+		t.Errorf("origin stats: forwarded=%v fallback=%v, want 1/0", stA["panorama_cluster_forwarded_total"], stA["panorama_cluster_forward_fallback_total"])
 	}
-	if stB.ClusterOriginJobs != 1 {
-		t.Errorf("owner stats: originJobs=%d, want 1", stB.ClusterOriginJobs)
+	if stB["panorama_cluster_origin_jobs_total"] != 1 {
+		t.Errorf("owner stats: originJobs=%v, want 1", stB["panorama_cluster_origin_jobs_total"])
 	}
 
 	// A repeat of the same request at the origin is now a cache hit:
@@ -167,8 +167,8 @@ func TestForwardLoopGuard(t *testing.T) {
 	if a, b := p.execA.Load(), p.execB.Load(); a != 0 || b != 0 {
 		t.Fatalf("guard executed something: A=%d B=%d", a, b)
 	}
-	if st := getStats(t, p.tsA.URL); st.ClusterMisdirected != 1 {
-		t.Errorf("misdirected=%d, want 1", st.ClusterMisdirected)
+	if st := metricsOf(t, p.srvA); st["panorama_cluster_misdirected_total"] != 1 {
+		t.Errorf("misdirected=%v, want 1", st["panorama_cluster_misdirected_total"])
 	}
 }
 
@@ -190,12 +190,12 @@ func TestForwardOwnerDownFallback(t *testing.T) {
 	if p.clA.Healthy(p.tsB.URL) {
 		t.Error("dead owner still marked healthy at FailThreshold 1")
 	}
-	st := getStats(t, p.tsA.URL)
-	if st.ClusterFallback != 1 || st.ClusterForwarded != 0 {
-		t.Errorf("stats fallback=%d forwarded=%d, want 1/0", st.ClusterFallback, st.ClusterForwarded)
+	st := metricsOf(t, p.srvA)
+	if st["panorama_cluster_forward_fallback_total"] != 1 || st["panorama_cluster_forwarded_total"] != 0 {
+		t.Errorf("stats fallback=%v forwarded=%v, want 1/0", st["panorama_cluster_forward_fallback_total"], st["panorama_cluster_forwarded_total"])
 	}
-	if st.ClusterPeersDown != 1 {
-		t.Errorf("peersDown=%d, want 1", st.ClusterPeersDown)
+	if st["panorama_cluster_peers_down"] != 1 {
+		t.Errorf("peersDown=%v, want 1", st["panorama_cluster_peers_down"])
 	}
 
 	// Second job owned by the down peer: the health check skips the
@@ -205,8 +205,8 @@ func TestForwardOwnerDownFallback(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("second map: status %d", code)
 	}
-	if st := getStats(t, p.tsA.URL); st.ClusterFallback != 1 {
-		t.Errorf("down-peer forward attempted again: fallback=%d, want still 1", st.ClusterFallback)
+	if st := metricsOf(t, p.srvA); st["panorama_cluster_forward_fallback_total"] != 1 {
+		t.Errorf("down-peer forward attempted again: fallback=%v, want still 1", st["panorama_cluster_forward_fallback_total"])
 	}
 }
 
@@ -233,6 +233,51 @@ func TestForwardRemoteTypedError(t *testing.T) {
 	}
 	if !p.clA.Healthy(p.tsB.URL) {
 		t.Error("typed remote failure tripped the peer breaker")
+	}
+}
+
+// Fleet accounting: a forwarded attempt is the owner's execution, so
+// executed, completed, failed and stage time summed over both peers
+// read one execution's worth — the origin counts none of them.
+func TestForwardCountsOneExecution(t *testing.T) {
+	total := func(p *peerPair, key string) float64 {
+		return metricsOf(t, p.srvA)[key] + metricsOf(t, p.srvB)[key]
+	}
+	ok := newPeerPair(t, func(ctx context.Context, job *Job) (core.Summary, error) {
+		return core.Summary{Kernel: "ran-on-B", Success: true,
+			Stages: []core.StageRecord{{Stage: "lower", Wall: 100 * time.Millisecond}}}, nil
+	})
+	body, _ := ok.requestOwnedBy(t, ok.tsB.URL, 1)
+	if code, _ := postMap(t, ok.tsA.URL, body); code != http.StatusOK {
+		t.Fatalf("forwarded map: status %d", code)
+	}
+	for key, want := range map[string]float64{
+		"panorama_service_executed_total":                     1,
+		"panorama_service_completed_total":                    1,
+		`panorama_service_stage_seconds_total{stage="lower"}`: 0.1,
+		`panorama_service_failed_total{class="infeasible"}`:   0,
+		"panorama_cluster_forwarded_total":                    1,
+	} {
+		if got := total(ok, key); got != want {
+			t.Errorf("%s summed over both peers = %v, want %v", key, got, want)
+		}
+	}
+
+	bad := newPeerPair(t, func(ctx context.Context, job *Job) (core.Summary, error) {
+		return core.Summary{}, fmt.Errorf("%w: no placement at any II", failure.ErrInfeasible)
+	})
+	body, _ = bad.requestOwnedBy(t, bad.tsB.URL, 1)
+	if code, _ := postMap(t, bad.tsA.URL, body); code != http.StatusUnprocessableEntity {
+		t.Fatalf("forwarded infeasible map: status %d, want 422", code)
+	}
+	for key, want := range map[string]float64{
+		"panorama_service_executed_total":                   1,
+		"panorama_service_completed_total":                  0,
+		`panorama_service_failed_total{class="infeasible"}`: 1,
+	} {
+		if got := total(bad, key); got != want {
+			t.Errorf("remote failure: %s summed over both peers = %v, want %v", key, got, want)
+		}
 	}
 }
 
@@ -292,7 +337,7 @@ func TestGossipRecoveryAndCacheFill(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if st := getStats(t, tsA.URL); st.ClusterGossipFill < 1 {
-		t.Errorf("gossipFill=%d, want ≥1", st.ClusterGossipFill)
+	if st := metricsOf(t, srvA); st["panorama_cluster_gossip_fill_total"] < 1 {
+		t.Errorf("gossipFill=%v, want ≥1", st["panorama_cluster_gossip_fill_total"])
 	}
 }

@@ -134,9 +134,8 @@ func failureStatus(err error) int {
 //	                    and recently completed fingerprints (the
 //	                    fleet gossip surface)
 //	GET  /healthz       liveness ("ok", or "draining" during shutdown)
-//	GET  /metricsz      service + pipeline metrics (Prometheus text)
-//	GET  /statsz        cache/queue/failure counters (JSON; deprecated
-//	                    alias of /metricsz, kept for old scrapers)
+//	GET  /metricsz      every service counter and gauge, then the
+//	                    pipeline metrics (Prometheus text)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/map", s.handleMap)
@@ -150,7 +149,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/cluster/statsz", s.handleClusterStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metricsz", s.handleMetrics)
-	mux.HandleFunc("GET /statsz", s.handleStats)
 	return mux
 }
 
@@ -222,20 +220,8 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 		s.stats.originJobs.Add(1)
 	}
 	out, err := s.submit(res)
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusTooManyRequests, "overloaded", err)
-		return
-	case errors.Is(err, ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, "draining", err)
-		return
-	case errors.Is(err, ErrShedding):
-		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
-		httpError(w, http.StatusServiceUnavailable, "shedding", err)
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, "internal", err)
+	if err != nil {
+		s.writeAdmissionError(w, err)
 		return
 	}
 
@@ -272,6 +258,27 @@ func (s *Server) handleMap(w http.ResponseWriter, r *http.Request) {
 	v := job.View()
 	v.Cache = cacheNote
 	writeJSON(w, http.StatusAccepted, v)
+}
+
+// writeAdmissionError answers a rejected admission — 429 for a full
+// queue, 503 while draining or shedding, Retry-After where waiting
+// helps — and returns the rejection class ("internal" for anything
+// unexpected).
+func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) string {
+	status, class := http.StatusInternalServerError, "internal"
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		status, class = http.StatusTooManyRequests, "overloaded"
+	case errors.Is(err, ErrDraining):
+		status, class = http.StatusServiceUnavailable, "draining"
+	case errors.Is(err, ErrShedding):
+		status, class = http.StatusServiceUnavailable, "shedding"
+	}
+	if class == "overloaded" || class == "shedding" {
+		w.Header().Set("Retry-After", strconv429(s.retryAfterSeconds()))
+	}
+	httpError(w, status, class, err)
+	return class
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -325,10 +332,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

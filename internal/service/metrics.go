@@ -1,111 +1,55 @@
 package service
 
 import (
-	"fmt"
 	"io"
 
 	"panorama/internal/obs"
 )
 
-// WriteMetrics renders the server's own counters and gauges as
-// Prometheus text (exposition format 0.0.4) and appends the
-// process-wide pipeline metrics from obs.Default. It is the body of
-// GET /metricsz and of the final snapshot panoramad logs on shutdown.
-//
-// The server-level families are derived from the same Stats() snapshot
-// /statsz serves, so the two endpoints can never disagree; they are
-// written here rather than registered on obs.Default because a process
-// may host several servers (tests do) and gauges must read this
-// server's state.
-func (s *Server) WriteMetrics(w io.Writer) error {
-	st := s.Stats()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
+// registerGauges adds the server's live values to its registry as
+// callback samples, read at exposition time.
+func (s *Server) registerGauges() {
+	gauge := func(name, help string, fn func() float64) {
+		s.metrics.Func("gauge", name, help, nil, nil, fn)
+	}
+	peers := func() (n, down int) {
+		if cl := s.opts.Cluster; cl != nil {
+			cs := cl.Stats()
+			return len(cs.Peers), cs.PeersDown
 		}
+		return 0, 0
 	}
-	counter := func(name, help string, v int64) {
-		p("# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		p("# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
+	gauge("panorama_cluster_peers", "Peers on the hash ring, self included (0 standalone).",
+		func() float64 { n, _ := peers(); return float64(n) })
+	gauge("panorama_cluster_peers_down", "Remote peers currently considered unreachable.",
+		func() float64 { _, down := peers(); return float64(down) })
+	gauge("panorama_service_breaker_failure_rate", "Windowed failure fraction behind the service breaker.",
+		s.breaker.failureRate)
+	gauge("panorama_service_breaker_state", "Service breaker state: 0 ok, 1 degrading admissions, 2 shedding load.",
+		func() float64 { return float64(s.breaker.state()) })
+	gauge("panorama_service_cache_entries", "Entries in the result cache.",
+		func() float64 { return float64(s.cache.Len()) })
+	gauge("panorama_service_draining", "1 while the server is draining for shutdown, else 0.", func() float64 {
+		if s.isDraining() {
+			return 1
+		}
+		return 0
+	})
+	gauge("panorama_service_queue_depth", "Jobs waiting behind the running ones.",
+		func() float64 { return float64(len(s.queue)) })
+	gauge("panorama_service_running_jobs", "Jobs currently executing.",
+		func() float64 { return float64(s.running.Load()) })
+	gauge("panorama_sse_active_streams", "Event streams currently open.",
+		func() float64 { return float64(s.stats.sseActive.Load()) })
+}
 
-	p("# HELP panorama_batch_items_total Batch items by admission disposition.\n" +
-		"# TYPE panorama_batch_items_total counter\n")
-	p("panorama_batch_items_total{disposition=\"coalesced\"} %d\n", st.BatchItemsCoalesced)
-	p("panorama_batch_items_total{disposition=\"dup\"} %d\n", st.BatchItemsDup)
-	p("panorama_batch_items_total{disposition=\"enqueued\"} %d\n", st.BatchItemsEnqueued)
-	p("panorama_batch_items_total{disposition=\"error\"} %d\n", st.BatchItemsError)
-	p("panorama_batch_items_total{disposition=\"hit\"} %d\n", st.BatchItemsHit)
-	counter("panorama_batch_rejected_total", "Batch requests rejected wholesale by admission control.", st.BatchRejected)
-	counter("panorama_batch_requests_total", "Batch requests that reached admission.", st.BatchRequests)
-	counter("panorama_cluster_forward_fallback_total", "Forwards that fell back to local execution (owner down or misdirected).", st.ClusterFallback)
-	counter("panorama_cluster_forwarded_total", "Job attempts concluded on the ring owner peer.", st.ClusterForwarded)
-	counter("panorama_cluster_gossip_fill_total", "Cache entries pulled from peers by the gossip loop.", st.ClusterGossipFill)
-	counter("panorama_cluster_misdirected_total", "Forwarded requests this peer rejected with 421 (ring disagreement).", st.ClusterMisdirected)
-	counter("panorama_cluster_origin_jobs_total", "Jobs accepted on behalf of a forwarding peer.", st.ClusterOriginJobs)
-	gauge("panorama_cluster_peers", "Peers on the hash ring, self included (0 standalone).", float64(st.ClusterPeers))
-	gauge("panorama_cluster_peers_down", "Remote peers currently considered unreachable.", float64(st.ClusterPeersDown))
-	gauge("panorama_service_breaker_failure_rate", "Windowed failure fraction behind the service breaker.", st.BreakerFailureRate)
-	gauge("panorama_service_breaker_state", "Service breaker state: 0 ok, 1 degrading admissions, 2 shedding load.", breakerStateValue(st.BreakerState))
-	gauge("panorama_service_cache_entries", "Entries in the result cache.", float64(st.CacheEntries))
-	counter("panorama_service_cache_hits_total", "Submissions served straight from the result cache.", st.CacheHits)
-	counter("panorama_service_cache_misses_total", "Submissions that required a computation.", st.CacheMisses)
-	counter("panorama_service_coalesced_total", "Submissions attached to an identical in-flight job.", st.Coalesced)
-	counter("panorama_service_completed_total", "Executions that returned a clean summary.", st.Completed)
-	counter("panorama_service_degraded_total", "Jobs stepped down to a cheaper mapper (retry ladder or admission breaker).", st.Degraded)
-	gauge("panorama_service_draining", "1 while the server is draining for shutdown, else 0.", b2f(st.Draining))
-	counter("panorama_service_executed_total", "Pipeline executions started.", st.Executed)
-	p("# HELP panorama_service_failed_total Executions that returned an error, by failure class.\n" +
-		"# TYPE panorama_service_failed_total counter\n")
-	p("panorama_service_failed_total{class=\"budget\"} %d\n", st.FailedBudget)
-	p("panorama_service_failed_total{class=\"cancelled\"} %d\n", st.FailedCancel)
-	p("panorama_service_failed_total{class=\"infeasible\"} %d\n", st.FailedInfeasib)
-	p("panorama_service_failed_total{class=\"other\"} %d\n", st.FailedOther)
-	counter("panorama_service_journal_append_errors_total", "Job lifecycle records the service failed to journal.", st.JournalErrors)
-	gauge("panorama_service_queue_depth", "Jobs waiting behind the running ones.", float64(st.QueueDepth))
-	counter("panorama_service_recovered_total", "Jobs replayed from the journal at startup.", st.Recovered)
-	counter("panorama_service_rejected_total", "Submissions rejected by admission control (429).", st.Rejected)
-	counter("panorama_service_requeued_total", "Jobs a draining server handed back to the journal.", st.Requeued)
-	counter("panorama_service_retried_total", "Failed attempts re-run by the retry ladder.", st.Retried)
-	gauge("panorama_service_running_jobs", "Jobs currently executing.", float64(st.RunningJobs))
-	counter("panorama_service_shed_total", "Submissions refused because the breaker was shedding load.", st.Shed)
-	p("# HELP panorama_service_stage_seconds_total Cumulative per-stage wall time of executed jobs.\n" +
-		"# TYPE panorama_service_stage_seconds_total counter\n")
-	p("panorama_service_stage_seconds_total{stage=\"clustering\"} %g\n", st.ClusteringMS/1000)
-	p("panorama_service_stage_seconds_total{stage=\"clustermap\"} %g\n", st.ClusterMapMS/1000)
-	p("panorama_service_stage_seconds_total{stage=\"lower\"} %g\n", st.LowerMS/1000)
-	counter("panorama_service_submitted_total", "Accepted submissions (cache hit, coalesced or enqueued).", st.Submitted)
-	gauge("panorama_sse_active_streams", "Event streams currently open.", float64(st.SSEActive))
-	counter("panorama_sse_events_sent_total", "Events written to SSE streams.", st.SSESent)
-	counter("panorama_sse_resumed_total", "SSE streams opened with a Last-Event-ID resume cursor.", st.SSEResumed)
-	counter("panorama_sse_streams_total", "SSE streams opened (job and batch).", st.SSEStreams)
-	counter("panorama_webhook_dropped_total", "Webhook events dropped (full queue or unmarshalable payload).", st.WebhooksDropped)
-	counter("panorama_webhook_failed_total", "Webhook events abandoned after the retry ladder.", st.WebhooksFailed)
-	counter("panorama_webhook_retried_total", "Webhook delivery attempts that will be retried.", st.WebhooksRetried)
-	counter("panorama_webhook_sent_total", "Webhook deliveries acknowledged with a 2xx.", st.WebhooksSent)
-	if err != nil {
+// WriteMetrics renders the server's own registry as Prometheus text
+// (exposition format 0.0.4) and appends the process-wide pipeline
+// metrics from obs.Default. It is the body of GET /metricsz and of the
+// final snapshot panoramad logs on shutdown.
+func (s *Server) WriteMetrics(w io.Writer) error {
+	if err := s.metrics.WriteProm(w); err != nil {
 		return err
 	}
 	return obs.Default.WriteProm(w)
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// breakerStateValue maps the breaker state name onto its gauge value.
-func breakerStateValue(state string) float64 {
-	switch state {
-	case "degrade":
-		return 1
-	case "shed":
-		return 2
-	}
-	return 0
 }

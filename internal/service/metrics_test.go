@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -16,51 +18,6 @@ import (
 	"panorama/internal/obs"
 	"panorama/internal/obs/obstest"
 )
-
-// metricszFamilies is the golden list of service-level metric names:
-// renaming or dropping any of these breaks deployed scrape configs and
-// dashboards, so a change here must be deliberate.
-var metricszFamilies = []string{
-	"panorama_batch_items_total",
-	"panorama_batch_rejected_total",
-	"panorama_batch_requests_total",
-	"panorama_cluster_forward_fallback_total",
-	"panorama_cluster_forwarded_total",
-	"panorama_cluster_gossip_fill_total",
-	"panorama_cluster_misdirected_total",
-	"panorama_cluster_origin_jobs_total",
-	"panorama_cluster_peers",
-	"panorama_cluster_peers_down",
-	"panorama_service_breaker_failure_rate",
-	"panorama_service_breaker_state",
-	"panorama_service_cache_entries",
-	"panorama_service_cache_hits_total",
-	"panorama_service_cache_misses_total",
-	"panorama_service_coalesced_total",
-	"panorama_service_completed_total",
-	"panorama_service_degraded_total",
-	"panorama_service_draining",
-	"panorama_service_executed_total",
-	"panorama_service_failed_total",
-	"panorama_service_journal_append_errors_total",
-	"panorama_service_queue_depth",
-	"panorama_service_recovered_total",
-	"panorama_service_rejected_total",
-	"panorama_service_requeued_total",
-	"panorama_service_retried_total",
-	"panorama_service_running_jobs",
-	"panorama_service_shed_total",
-	"panorama_service_stage_seconds_total",
-	"panorama_service_submitted_total",
-	"panorama_sse_active_streams",
-	"panorama_sse_events_sent_total",
-	"panorama_sse_resumed_total",
-	"panorama_sse_streams_total",
-	"panorama_webhook_dropped_total",
-	"panorama_webhook_failed_total",
-	"panorama_webhook_retried_total",
-	"panorama_webhook_sent_total",
-}
 
 func getMetricsz(t *testing.T, url string) string {
 	t.Helper()
@@ -82,17 +39,35 @@ func getMetricsz(t *testing.T, url string) string {
 	return string(body)
 }
 
-// The /metricsz golden test: every service family present, in sorted
-// order, the whole body valid Prometheus exposition text, and the
-// values agreeing with the /statsz snapshot.
+// ownSection cuts a WriteMetrics body down to the server's own
+// families: everything before the first family obs.Default serves.
+func ownSection(t *testing.T, body string) string {
+	t.Helper()
+	var def strings.Builder
+	if err := obs.Default.WriteProm(&def); err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(def.String(), "\n")
+	if i := strings.Index(body, first+"\n"); first != "" && i >= 0 {
+		return body[:i]
+	}
+	return body
+}
+
+// The /metricsz golden test: two misses and one hit through a stub
+// executor whose stage walls carry sub-millisecond parts, then the
+// server's own section compared byte for byte against the recorded
+// exposition. Family names, types, HELP text, label sets, order and
+// value formatting are all part of the scrape contract.
 func TestMetricszGolden(t *testing.T) {
 	run := func(ctx context.Context, job *Job) (core.Summary, error) {
 		return core.Summary{
 			Kernel:  "stub",
 			Success: true,
 			Stages: []core.StageRecord{
-				{Stage: "clustering", Wall: 40 * time.Millisecond},
-				{Stage: "lower", Wall: 160 * time.Millisecond},
+				{Stage: "clustering", Wall: 40*time.Millisecond + 250*time.Microsecond},
+				{Stage: "clustermap", Wall: 3*time.Millisecond + 125*time.Microsecond + 7},
+				{Stage: "lower", Wall: 160*time.Millisecond + 500*time.Microsecond},
 			},
 		}, nil
 	}
@@ -104,43 +79,35 @@ func TestMetricszGolden(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, view := postMap(t, ts.URL, `{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":1,"wait":true}`)
-	if code != http.StatusOK || view.Result == nil {
-		t.Fatalf("stub job: status %d view %+v", code, view)
+	for i, seed := range []int{1, 2, 1} {
+		body := fmt.Sprintf(`{"kernel":"fir","scale":0.25,"arch":"8x8","mapper":"pan-spr","seed":%d,"wait":true}`, seed)
+		if code, view := postMap(t, ts.URL, body); code != http.StatusOK || view.Result == nil {
+			t.Fatalf("request %d: status %d view %+v", i, code, view)
+		}
 	}
-
-	body := getMetricsz(t, ts.URL)
+	// The worker leaves running_jobs after it has published the
+	// outcome the waiting client saw; scrape once it is idle.
+	var body string
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		body = getMetricsz(t, ts.URL)
+		if strings.Contains(body, "\npanorama_service_running_jobs 0\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker never went idle:\n%s", body)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := obstest.ValidateExposition(body); err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, body)
 	}
-	last := -1
-	for _, fam := range metricszFamilies {
-		idx := strings.Index(body, "# TYPE "+fam+" ")
-		if idx < 0 {
-			t.Fatalf("family %s missing from /metricsz:\n%s", fam, body)
-		}
-		if idx < last {
-			t.Fatalf("family %s out of sorted order", fam)
-		}
-		last = idx
+	want, err := os.ReadFile(filepath.Join("testdata", "metricsz.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"panorama_service_submitted_total 1",
-		"panorama_service_executed_total 1",
-		"panorama_service_completed_total 1",
-		`panorama_service_failed_total{class="budget"} 0`,
-		`panorama_service_stage_seconds_total{stage="clustering"} 0.04`,
-		`panorama_service_stage_seconds_total{stage="lower"} 0.16`,
-		"panorama_service_draining 0",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metricsz missing %q:\n%s", want, body)
-		}
-	}
-	// The deprecated JSON alias must agree with the exposition.
-	st := getStats(t, ts.URL)
-	if st.Submitted != 1 || st.Completed != 1 {
-		t.Fatalf("/statsz disagrees with /metricsz: %+v", st)
+	if got := ownSection(t, body); got != string(want) {
+		t.Fatalf("/metricsz server section differs from testdata/metricsz.golden:\n%s", got)
 	}
 }
 

@@ -115,20 +115,9 @@ func (s *Server) recoverJobs(pending []journal.Record) {
 				Note: "unreadable payload on recovery"})
 			continue
 		}
-		job := &Job{
-			ID:          rec.JobID,
-			Fingerprint: req.fingerprint,
-			Mapper:      req.mapper,
-			Seed:        req.seed,
-			Budgets:     req.budgets,
-			req:         req,
-			runMapper:   req.mapper,
-			attempts:    rec.Attempt,
-			status:      JobQueued,
-			created:     time.Now(),
-			done:        make(chan struct{}),
-			events:      newEventLog(),
-		}
+		job := newJob(rec.JobID, req)
+		job.runMapper = req.mapper
+		job.attempts = rec.Attempt
 		// Re-synthesize the event history the pre-crash process streamed
 		// — one queued event, one running event per journaled attempt,
 		// with the same sequence numbers — so a client resuming with

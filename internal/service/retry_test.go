@@ -134,9 +134,9 @@ func TestRetryTransientFaultRecovers(t *testing.T) {
 	if v.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", v.Attempts)
 	}
-	st := getStats(t, ts.URL)
-	if st.Retried != 2 || st.Executed != 3 || st.Completed != 1 {
-		t.Fatalf("retried=%d executed=%d completed=%d, want 2/3/1", st.Retried, st.Executed, st.Completed)
+	st := metricsOf(t, srv)
+	if st["panorama_service_retried_total"] != 2 || st["panorama_service_executed_total"] != 3 || st["panorama_service_completed_total"] != 1 {
+		t.Fatalf("retried=%v executed=%v completed=%v, want 2/3/1", st["panorama_service_retried_total"], st["panorama_service_executed_total"], st["panorama_service_completed_total"])
 	}
 }
 
@@ -171,8 +171,8 @@ func TestBudgetDegradesToCheaperMapper(t *testing.T) {
 	if _, ok := srv.Cache().Get(v.Fingerprint); ok {
 		t.Fatal("degraded result cached under the full-strength fingerprint (cache poisoning)")
 	}
-	if st := getStats(t, ts.URL); st.Degraded != 1 {
-		t.Fatalf("degraded=%d, want 1", st.Degraded)
+	if st := metricsOf(t, srv); st["panorama_service_degraded_total"] != 1 {
+		t.Fatalf("degraded=%v, want 1", st["panorama_service_degraded_total"])
 	}
 	// The same request again must recompute (or re-degrade), never hit
 	// the poisoned key.
@@ -207,8 +207,8 @@ func TestPanicIsRetried(t *testing.T) {
 	if code != http.StatusOK || v.Attempts != 2 {
 		t.Fatalf("status %d attempts %d, want 200/2", code, v.Attempts)
 	}
-	if st := getStats(t, ts.URL); st.Retried != 1 {
-		t.Fatalf("retried=%d, want 1", st.Retried)
+	if st := metricsOf(t, srv); st["panorama_service_retried_total"] != 1 {
+		t.Fatalf("retried=%v, want 1", st["panorama_service_retried_total"])
 	}
 }
 
@@ -242,8 +242,8 @@ func TestWatchdogCancelsStalledRun(t *testing.T) {
 	if v.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2 (stall + retry)", v.Attempts)
 	}
-	if st := getStats(t, ts.URL); st.Retried != 1 {
-		t.Fatalf("retried=%d, want 1", st.Retried)
+	if st := metricsOf(t, srv); st["panorama_service_retried_total"] != 1 {
+		t.Fatalf("retried=%v, want 1", st["panorama_service_retried_total"])
 	}
 }
 
@@ -303,8 +303,8 @@ func TestJournalAppendFaultDegradesGracefully(t *testing.T) {
 	if code != http.StatusOK || v.Status != JobDone {
 		t.Fatalf("status %d view %+v: a failing journal must not fail jobs", code, v)
 	}
-	st := getStats(t, ts.URL)
-	if st.JournalErrors == 0 {
+	st := metricsOf(t, srv)
+	if st["panorama_service_journal_append_errors_total"] == 0 {
 		t.Fatal("journal append errors not counted")
 	}
 	// With the disk healthy again the journal resumes.

@@ -166,10 +166,28 @@ type Job struct {
 	degraded  bool   // the retry ladder or breaker stepped the mapper down
 	origin    string // forwarding peer's URL when the job arrived via the ring
 	noForward bool   // this job already spent its one forward hop
+	remote    bool   // the current attempt concluded on the ring owner
 
 	events *eventLog // state transitions for the SSE surface
 
 	done chan struct{} // closed when the job reaches a terminal status
+}
+
+// newJob builds a queued job for req; the caller registers it.
+func newJob(id string, req *resolved) *Job {
+	return &Job{
+		ID:          id,
+		Fingerprint: req.fingerprint,
+		Mapper:      req.mapper,
+		Seed:        req.seed,
+		Budgets:     req.budgets,
+		req:         req,
+		origin:      req.origin,
+		status:      JobQueued,
+		created:     time.Now(),
+		done:        make(chan struct{}),
+		events:      newEventLog(),
+	}
 }
 
 // Attempts returns how many executions the job has consumed,
@@ -185,6 +203,7 @@ func (j *Job) beginAttempt() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.attempts++
+	j.remote = false
 	j.status = JobRunning
 	if j.started.IsZero() {
 		j.started = time.Now()
@@ -278,7 +297,8 @@ func (j *Job) Summary() (core.Summary, bool) {
 type Server struct {
 	opts    Options
 	cache   *Cache
-	stats   stats
+	metrics *obs.Registry // this server's own /metricsz families
+	stats   *stats
 	journal *journal.Journal // nil without Options.JournalDir
 	breaker *breaker         // nil when disabled
 
@@ -366,9 +386,12 @@ func New(opts Options) (*Server, error) {
 		// Recovery must never deadlock on its own queue.
 		qsize = len(pending)
 	}
+	reg := obs.NewRegistry()
 	s := &Server{
 		opts:       opts,
 		cache:      cache,
+		metrics:    reg,
+		stats:      newStats(reg),
 		journal:    jn,
 		jobs:       make(map[string]*Job),
 		flight:     make(map[string]*Job),
@@ -377,10 +400,11 @@ func New(opts Options) (*Server, error) {
 		drain:      newDrainEstimator(),
 		gossipStop: make(chan struct{}),
 	}
-	s.webhooks = newWebhookNotifier(&s.stats, opts)
+	s.webhooks = newWebhookNotifier(s.stats, opts)
 	if opts.BreakerWindow > 0 {
 		s.breaker = newBreaker(opts.BreakerWindow, opts.BreakerDegrade, opts.BreakerShed)
 	}
+	s.registerGauges()
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if s.opts.Run == nil {
 		s.opts.Run = s.runPipeline
@@ -434,115 +458,15 @@ type Outcome struct {
 	Dup       bool
 }
 
-// submit runs admission for a resolved request: cache lookup, breaker
-// check, then coalescing onto an identical in-flight job, then a
-// bounded enqueue. Cache hits are served even while the breaker sheds —
-// they cost nothing and can't fail.
+// submit admits one resolved request: a batch of one through
+// submitBatch, so single and batch submissions share one admission
+// path.
 func (s *Server) submit(req *resolved) (Outcome, error) {
-	if e, ok := s.cache.Get(req.fingerprint); ok {
-		s.stats.submitted.Add(1)
-		s.stats.hits.Add(1)
-		return Outcome{Entry: &e}, nil
+	outs, err := s.submitBatch([]*resolved{req})
+	if err != nil {
+		return Outcome{}, err
 	}
-	switch s.breaker.state() {
-	case breakerShed:
-		s.stats.shed.Add(1)
-		return Outcome{}, ErrShedding
-	case breakerDegrade:
-		if m := DegradeMapper(req.mapper); m != "" {
-			// Serve a worse answer rather than none: admit the job on
-			// the next-cheaper mapper rung (which gets its own
-			// fingerprint — a degraded result must never answer a
-			// later full-strength request).
-			req = req.withMapper(m)
-			s.stats.degraded.Add(1)
-			if e, ok := s.cache.Get(req.fingerprint); ok {
-				s.stats.submitted.Add(1)
-				s.stats.hits.Add(1)
-				return Outcome{Entry: &e}, nil
-			}
-		}
-	}
-
-	var blob []byte
-	if s.journal != nil {
-		var berr error
-		if blob, berr = encodeJobPayload(req); berr != nil {
-			// The job still runs; it just can't be replayed.
-			log.Printf("service: %v", berr)
-		}
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return Outcome{}, ErrDraining
-	}
-	if job, ok := s.flight[req.fingerprint]; ok {
-		s.mu.Unlock()
-		s.stats.submitted.Add(1)
-		s.stats.coalesced.Add(1)
-		return Outcome{Job: job, Coalesced: true}, nil
-	}
-	// An in-flight twin may have reached its terminal state between the
-	// unlocked cache check above and this lock. finishDone publishes to
-	// the cache before unregistering, and unregister synchronizes on
-	// s.mu, so when the flight index is empty here a re-check cannot
-	// miss the twin's result — without it, a submission landing in that
-	// window would re-execute a fingerprint that just completed
-	// (visible fleet-wide: three peers issuing identical streams hit
-	// completion boundaries constantly).
-	if e, ok := s.cache.Get(req.fingerprint); ok {
-		s.mu.Unlock()
-		s.stats.submitted.Add(1)
-		s.stats.hits.Add(1)
-		return Outcome{Entry: &e}, nil
-	}
-	s.nextID++
-	job := &Job{
-		ID:          fmt.Sprintf("job-%06d", s.nextID),
-		Fingerprint: req.fingerprint,
-		Mapper:      req.mapper,
-		Seed:        req.seed,
-		Budgets:     req.budgets,
-		req:         req,
-		origin:      req.origin,
-		status:      JobQueued,
-		created:     time.Now(),
-		done:        make(chan struct{}),
-		events:      newEventLog(),
-	}
-	s.jobs[job.ID] = job
-	s.flight[job.Fingerprint] = job
-	// The Submitted record goes in before the job can be dequeued so a
-	// worker's Started record never precedes it in the journal — and
-	// the queued event before the enqueue, so no subscriber can see a
-	// running event first. (A queue-full rollback leaves a stray queued
-	// event on a job nobody can ever address; harmless.) Peer-forwarded
-	// jobs journal their origin so a post-crash operator can tell
-	// replayed fleet traffic from local submissions.
-	note := ""
-	if req.origin != "" {
-		note = "origin:" + req.origin
-	}
-	s.jlog(Record{Kind: journal.Submitted, JobID: job.ID, Key: job.Fingerprint, Note: note, Blob: blob})
-	job.emit(JobQueued)
-	select {
-	case s.queue <- job:
-	default:
-		// Admission control: the queue is full. Undo the registration
-		// so the rejected job leaves no trace.
-		delete(s.jobs, job.ID)
-		delete(s.flight, job.Fingerprint)
-		s.mu.Unlock()
-		s.jlog(Record{Kind: journal.Cancelled, JobID: job.ID, Key: job.Fingerprint, Note: "queue full"})
-		s.stats.rejected.Add(1)
-		return Outcome{}, ErrOverloaded
-	}
-	s.mu.Unlock()
-	s.stats.submitted.Add(1)
-	s.stats.misses.Add(1)
-	return Outcome{Job: job}, nil
+	return outs[0], nil
 }
 
 // Job returns a previously accepted job by id.
@@ -643,12 +567,17 @@ func (s *Server) runAttempt(job *Job) (sum core.Summary, err error, watchdog boo
 		// through to local execution within the same attempt — the
 		// fleet degrades to standalone behavior, never to an error.
 		if fsum, ferr, handled := s.forwardAttempt(ctx, job, owner); handled {
+			job.mu.Lock()
+			job.remote = true
+			job.mu.Unlock()
 			return fsum, ferr, tripped.Load()
 		}
 	}
 	// Count only attempts that reach the local executor: a forwarded
 	// attempt is the owner's execution, and counting it here too would
-	// make a fleet's summed executed_total read as duplicate work.
+	// make a fleet's summed executed_total read as duplicate work (the
+	// finish paths apply the same rule to completed, failed and stage
+	// time).
 	s.stats.executed.Add(1)
 	sum, err = s.opts.Run(ctx, job)
 	return sum, err, tripped.Load()
@@ -678,9 +607,12 @@ func (s *Server) finishDone(job *Job, sum core.Summary) {
 	job.summary = &sum
 	degraded := job.degraded
 	mapper := job.runMapper
+	remote := job.remote
 	job.mu.Unlock()
-	s.stats.completed.Add(1)
-	s.stats.recordStages(sum)
+	if !remote {
+		s.stats.completed.Inc()
+		s.stats.recordStages(sum)
+	}
 	key := job.Fingerprint
 	note := ""
 	if degraded {
@@ -715,9 +647,12 @@ func (s *Server) finishFailed(job *Job, sum core.Summary, err error) {
 	if sum.Kernel != "" || len(sum.Stages) > 0 {
 		job.summary = &sum // partial result salvaged by the ladder
 	}
+	remote := job.remote
 	job.mu.Unlock()
-	s.stats.recordFailure(err)
-	s.stats.recordStages(sum)
+	if !remote {
+		s.stats.recordFailure(err)
+		s.stats.recordStages(sum)
+	}
 	s.jlog(Record{Kind: journal.Failed, JobID: job.ID, Key: job.Fingerprint,
 		Attempt: job.Attempts(), Note: failureClass(err)})
 	s.breaker.record(true)

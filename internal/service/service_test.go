@@ -18,7 +18,7 @@ import (
 // The acceptance criterion end to end, against the real pipeline:
 // start the service in-process, submit the same kernel twice — the
 // second response must be a cache hit served in under 1% of the
-// first's wall time, with /statsz reporting exactly one hit.
+// first's wall time, with /metricsz counting exactly one hit.
 func TestEndToEndCacheHit(t *testing.T) {
 	srv, err := New(Options{Workers: 1, QueueSize: 4})
 	if err != nil {
@@ -65,14 +65,11 @@ func TestEndToEndCacheHit(t *testing.T) {
 		t.Fatalf("cache hit took %v, more than 1%% of the first run's %v", secondWall, firstWall)
 	}
 
-	st := getStats(t, ts.URL)
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Fatalf("stats hits=%d misses=%d, want 1/1", st.CacheHits, st.CacheMisses)
+	st := metricsOf(t, srv)
+	if st["panorama_service_cache_hits_total"] != 1 || st["panorama_service_cache_misses_total"] != 1 {
+		t.Fatalf("stats hits=%v misses=%v, want 1/1", st["panorama_service_cache_hits_total"], st["panorama_service_cache_misses_total"])
 	}
-	if st.CacheHitRate != 0.5 {
-		t.Fatalf("hit rate %v, want 0.5", st.CacheHitRate)
-	}
-	if st.ClusteringMS <= 0 || st.LowerMS <= 0 {
+	if st[`panorama_service_stage_seconds_total{stage="clustering"}`] <= 0 || st[`panorama_service_stage_seconds_total{stage="lower"}`] <= 0 {
 		t.Fatalf("per-stage wall times not accumulated: %+v", st)
 	}
 
@@ -158,8 +155,8 @@ func TestAdmissionControl(t *testing.T) {
 	if hdr.Get("Retry-After") != "2" {
 		t.Fatalf("Retry-After = %q, want %q", hdr.Get("Retry-After"), "2")
 	}
-	if st := getStats(t, ts.URL); st.Rejected != 1 {
-		t.Fatalf("stats rejected=%d, want 1", st.Rejected)
+	if st := metricsOf(t, srv); st["panorama_service_rejected_total"] != 1 {
+		t.Fatalf("stats rejected=%v, want 1", st["panorama_service_rejected_total"])
 	}
 
 	// A rejected job leaves no trace: once capacity frees up the same
@@ -265,7 +262,7 @@ func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 }
 
 // Typed pipeline failures must surface as distinct HTTP status codes
-// and distinct /statsz counters.
+// and distinct /metricsz counters.
 func TestTypedFailureStatusCodes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -306,13 +303,13 @@ func TestTypedFailureStatusCodes(t *testing.T) {
 			t.Errorf("%s: view %+v, want failed job with class %q", c.name, v, c.class)
 		}
 	}
-	st := getStats(t, ts.URL)
-	if st.FailedBudget != 1 || st.FailedInfeasib != 1 || st.FailedCancel != 1 || st.FailedOther != 1 {
-		t.Fatalf("failure counters budget=%d infeasible=%d cancelled=%d other=%d, want 1 each",
-			st.FailedBudget, st.FailedInfeasib, st.FailedCancel, st.FailedOther)
+	st := metricsOf(t, srv)
+	if st[`panorama_service_failed_total{class="budget"}`] != 1 || st[`panorama_service_failed_total{class="infeasible"}`] != 1 || st[`panorama_service_failed_total{class="cancelled"}`] != 1 || st[`panorama_service_failed_total{class="other"}`] != 1 {
+		t.Fatalf("failure counters budget=%v infeasible=%v cancelled=%v other=%v, want 1 each",
+			st[`panorama_service_failed_total{class="budget"}`], st[`panorama_service_failed_total{class="infeasible"}`], st[`panorama_service_failed_total{class="cancelled"}`], st[`panorama_service_failed_total{class="other"}`])
 	}
-	if st.Completed != 0 {
-		t.Fatalf("completed=%d, want 0", st.Completed)
+	if st["panorama_service_completed_total"] != 0 {
+		t.Fatalf("completed=%v, want 0", st["panorama_service_completed_total"])
 	}
 }
 

@@ -6,73 +6,104 @@ import (
 
 	"panorama/internal/core"
 	"panorama/internal/failure"
+	"panorama/internal/obs"
 )
 
-// stats is the server's hot-path counter set. Everything is atomic so
-// handlers and workers never contend on a lock for bookkeeping.
+// stats is the server's counter set, registered on the server's own
+// obs.Registry: /metricsz renders the counters themselves, so there is
+// no mirror to drift. Labelled children are resolved once in newStats,
+// and every hot-path update is a single atomic add.
 type stats struct {
-	submitted atomic.Int64 // accepted submissions (hit, coalesced or enqueued)
-	rejected  atomic.Int64 // 429s from admission control
+	submitted, rejected           *obs.Counter
+	hits, misses, coalesced       *obs.Counter
+	executed, completed           *obs.Counter
+	failedBudget, failedOther     *obs.Counter
+	failedInfeasible              *obs.Counter
+	failedCancelled               *obs.Counter
+	retried, degraded, shed       *obs.Counter
+	requeued, recovered           *obs.Counter
+	journalErrors                 *obs.Counter
+	batchRequests                 *obs.Counter
+	batchRejected                 *obs.Counter
+	batchItemsHit, batchItemsDup  *obs.Counter
+	batchItemsCoalesced           *obs.Counter
+	batchItemsEnqueued            *obs.Counter
+	batchItemsError               *obs.Counter
+	sseStreams, sseResumed        *obs.Counter
+	sseSent                       *obs.Counter
+	forwarded, forwardFallback    *obs.Counter
+	forwardMisdirected            *obs.Counter
+	originJobs, gossipFilled      *obs.Counter
+	webhookSent, webhookRetried   *obs.Counter
+	webhookFailed, webhookDropped *obs.Counter
 
-	hits      atomic.Int64 // served straight from the cache
-	misses    atomic.Int64 // required a computation
-	coalesced atomic.Int64 // attached to an identical in-flight job
+	sseActive atomic.Int64 // streams currently open (a gauge)
+	// stageNS is the cumulative wall time (ns) of executed jobs per
+	// stageNames entry, from Result.Provenance.
+	stageNS [len(stageNames)]atomic.Int64
+}
 
-	executed  atomic.Int64 // pipeline executions started
-	completed atomic.Int64 // executions that returned a clean Summary
+// stageNames are the pipeline stages whose wall time /metricsz totals.
+var stageNames = [...]string{"clustering", "clustermap", "lower"}
 
-	failedBudget     atomic.Int64
-	failedInfeasible atomic.Int64
-	failedCancelled  atomic.Int64
-	failedOther      atomic.Int64
-
-	retried       atomic.Int64 // attempts re-run by the retry ladder
-	degraded      atomic.Int64 // jobs stepped down to a cheaper mapper
-	shed          atomic.Int64 // submissions refused by the breaker
-	requeued      atomic.Int64 // jobs handed back to the journal on drain
-	recovered     atomic.Int64 // jobs replayed from the journal at startup
-	journalErrors atomic.Int64 // journal appends that failed
-
-	batchRequests       atomic.Int64 // POST /v1/batch requests that reached admission
-	batchRejected       atomic.Int64 // batches rejected wholesale (429/503)
-	batchItemsHit       atomic.Int64 // batch items served from the cache
-	batchItemsCoalesced atomic.Int64 // batch items attached to an in-flight job
-	batchItemsDup       atomic.Int64 // batch items deduped within their batch
-	batchItemsEnqueued  atomic.Int64 // batch items that created a job
-	batchItemsError     atomic.Int64 // batch items rejected at resolve time
-
-	sseStreams atomic.Int64 // event streams opened (job + batch)
-	sseResumed atomic.Int64 // streams opened with a Last-Event-ID cursor
-	sseSent    atomic.Int64 // events written to streams
-	sseActive  atomic.Int64 // streams currently open (gauge)
-
-	forwarded          atomic.Int64 // attempts concluded on the ring owner
-	forwardFallback    atomic.Int64 // forwards that fell back to local execution
-	forwardMisdirected atomic.Int64 // forwarded requests this peer answered 421
-	originJobs         atomic.Int64 // jobs accepted on behalf of another peer
-	gossipFilled       atomic.Int64 // cache entries pulled from peers by gossip
-
-	webhookSent    atomic.Int64 // webhook deliveries acknowledged 2xx
-	webhookRetried atomic.Int64 // delivery attempts that will be retried
-	webhookFailed  atomic.Int64 // events given up after the retry ladder
-	webhookDropped atomic.Int64 // events dropped (full queue, bad payload)
-
-	// Cumulative per-stage wall time of executed jobs, from
-	// Result.Provenance (nanoseconds).
-	clusteringNS atomic.Int64
-	clustermapNS atomic.Int64
-	lowerNS      atomic.Int64
+func newStats(r *obs.Registry) *stats {
+	c := r.Counter
+	items := r.CounterVec("panorama_batch_items_total", "Batch items by admission disposition.", "disposition")
+	failed := r.CounterVec("panorama_service_failed_total", "Executions that returned an error, by failure class.", "class")
+	st := &stats{
+		batchItemsCoalesced: items.With("coalesced"),
+		batchItemsDup:       items.With("dup"),
+		batchItemsEnqueued:  items.With("enqueued"),
+		batchItemsError:     items.With("error"),
+		batchItemsHit:       items.With("hit"),
+		batchRejected:       c("panorama_batch_rejected_total", "Batch requests rejected wholesale by admission control."),
+		batchRequests:       c("panorama_batch_requests_total", "Batch requests that reached admission."),
+		forwardFallback:     c("panorama_cluster_forward_fallback_total", "Forwards that fell back to local execution (owner down or misdirected)."),
+		forwarded:           c("panorama_cluster_forwarded_total", "Job attempts concluded on the ring owner peer."),
+		gossipFilled:        c("panorama_cluster_gossip_fill_total", "Cache entries pulled from peers by the gossip loop."),
+		forwardMisdirected:  c("panorama_cluster_misdirected_total", "Forwarded requests this peer rejected with 421 (ring disagreement)."),
+		originJobs:          c("panorama_cluster_origin_jobs_total", "Jobs accepted on behalf of a forwarding peer."),
+		hits:                c("panorama_service_cache_hits_total", "Submissions served straight from the result cache."),
+		misses:              c("panorama_service_cache_misses_total", "Submissions that required a computation."),
+		coalesced:           c("panorama_service_coalesced_total", "Submissions attached to an identical in-flight job."),
+		completed:           c("panorama_service_completed_total", "Executions that returned a clean summary."),
+		degraded:            c("panorama_service_degraded_total", "Jobs stepped down to a cheaper mapper (retry ladder or admission breaker)."),
+		executed:            c("panorama_service_executed_total", "Pipeline executions started."),
+		failedBudget:        failed.With("budget"),
+		failedCancelled:     failed.With("cancelled"),
+		failedInfeasible:    failed.With("infeasible"),
+		failedOther:         failed.With("other"),
+		journalErrors:       c("panorama_service_journal_append_errors_total", "Job lifecycle records the service failed to journal."),
+		recovered:           c("panorama_service_recovered_total", "Jobs replayed from the journal at startup."),
+		rejected:            c("panorama_service_rejected_total", "Submissions rejected by admission control (429)."),
+		requeued:            c("panorama_service_requeued_total", "Jobs a draining server handed back to the journal."),
+		retried:             c("panorama_service_retried_total", "Failed attempts re-run by the retry ladder."),
+		shed:                c("panorama_service_shed_total", "Submissions refused because the breaker was shedding load."),
+		submitted:           c("panorama_service_submitted_total", "Accepted submissions (cache hit, coalesced or enqueued)."),
+		sseSent:             c("panorama_sse_events_sent_total", "Events written to SSE streams."),
+		sseResumed:          c("panorama_sse_resumed_total", "SSE streams opened with a Last-Event-ID resume cursor."),
+		sseStreams:          c("panorama_sse_streams_total", "SSE streams opened (job and batch)."),
+		webhookDropped:      c("panorama_webhook_dropped_total", "Webhook events dropped (full queue or unmarshalable payload)."),
+		webhookFailed:       c("panorama_webhook_failed_total", "Webhook events abandoned after the retry ladder."),
+		webhookRetried:      c("panorama_webhook_retried_total", "Webhook delivery attempts that will be retried."),
+		webhookSent:         c("panorama_webhook_sent_total", "Webhook deliveries acknowledged with a 2xx."),
+	}
+	for i, name := range stageNames {
+		ns := &st.stageNS[i]
+		r.Func("counter", "panorama_service_stage_seconds_total", "Cumulative per-stage wall time of executed jobs.",
+			[]string{"stage"}, []string{name}, func() float64 {
+				return float64(ns.Load()) / float64(time.Millisecond) / 1000
+			})
+	}
+	return st
 }
 
 func (st *stats) recordStages(sum core.Summary) {
 	for _, rec := range sum.Stages {
-		switch rec.Stage {
-		case "clustering":
-			st.clusteringNS.Add(int64(rec.Wall))
-		case "clustermap":
-			st.clustermapNS.Add(int64(rec.Wall))
-		case "lower":
-			st.lowerNS.Add(int64(rec.Wall))
+		for i, name := range stageNames {
+			if rec.Stage == name {
+				st.stageNS[i].Add(int64(rec.Wall))
+			}
 		}
 	}
 }
@@ -80,143 +111,29 @@ func (st *stats) recordStages(sum core.Summary) {
 func (st *stats) recordFailure(err error) {
 	switch {
 	case failure.IsBudget(err):
-		st.failedBudget.Add(1)
+		st.failedBudget.Inc()
 	case failure.IsCancelled(err):
-		st.failedCancelled.Add(1)
+		st.failedCancelled.Inc()
 	case failure.IsInfeasible(err):
-		st.failedInfeasible.Add(1)
+		st.failedInfeasible.Inc()
 	default:
-		st.failedOther.Add(1)
+		st.failedOther.Inc()
 	}
 }
 
-// Stats is the /statsz wire format: a consistent-enough snapshot of
-// the counters plus instantaneous queue and cache gauges.
+// Stats is the admission summary in-process harnesses read between
+// runs; /metricsz carries every counter.
 type Stats struct {
-	Submitted int64 `json:"submitted"`
-	Rejected  int64 `json:"rejected"`
-
-	CacheHits      int64   `json:"cacheHits"`
-	CacheMisses    int64   `json:"cacheMisses"`
-	Coalesced      int64   `json:"coalesced"`
-	CacheHitRate   float64 `json:"cacheHitRate"` // hits / (hits+misses)
-	CacheEntries   int     `json:"cacheEntries"`
-	QueueDepth     int     `json:"queueDepth"`
-	RunningJobs    int     `json:"runningJobs"`
-	Executed       int64   `json:"executed"`
-	Completed      int64   `json:"completed"`
-	FailedBudget   int64   `json:"failedBudget"`
-	FailedInfeasib int64   `json:"failedInfeasible"`
-	FailedCancel   int64   `json:"failedCancelled"`
-	FailedOther    int64   `json:"failedOther"`
-
-	Retried       int64 `json:"retried"`
-	Degraded      int64 `json:"degraded"`
-	Shed          int64 `json:"shed"`
-	Requeued      int64 `json:"requeued"`
-	Recovered     int64 `json:"recovered"`
-	JournalErrors int64 `json:"journalAppendErrors"`
-
-	BatchRequests       int64 `json:"batchRequests"`
-	BatchRejected       int64 `json:"batchRejected"`
-	BatchItemsHit       int64 `json:"batchItemsHit"`
-	BatchItemsCoalesced int64 `json:"batchItemsCoalesced"`
-	BatchItemsDup       int64 `json:"batchItemsDup"`
-	BatchItemsEnqueued  int64 `json:"batchItemsEnqueued"`
-	BatchItemsError     int64 `json:"batchItemsError"`
-
-	SSEStreams int64 `json:"sseStreams"`
-	SSEResumed int64 `json:"sseResumed"`
-	SSESent    int64 `json:"sseEventsSent"`
-	SSEActive  int64 `json:"sseActiveStreams"`
-
-	ClusterForwarded   int64 `json:"clusterForwarded"`
-	ClusterFallback    int64 `json:"clusterForwardFallback"`
-	ClusterMisdirected int64 `json:"clusterMisdirected"`
-	ClusterOriginJobs  int64 `json:"clusterOriginJobs"`
-	ClusterGossipFill  int64 `json:"clusterGossipFill"`
-	// ClusterPeers/ClusterPeersDown mirror the ring membership gauges
-	// (zero on standalone servers).
-	ClusterPeers     int `json:"clusterPeers"`
-	ClusterPeersDown int `json:"clusterPeersDown"`
-
-	WebhooksSent    int64 `json:"webhooksSent"`
-	WebhooksRetried int64 `json:"webhooksRetried"`
-	WebhooksFailed  int64 `json:"webhooksFailed"`
-	WebhooksDropped int64 `json:"webhooksDropped"`
-
-	// BreakerState is "ok", "degrade" or "shed"; BreakerFailureRate is
-	// the windowed failure fraction behind it.
-	BreakerState       string  `json:"breakerState"`
-	BreakerFailureRate float64 `json:"breakerFailureRate"`
-
-	ClusteringMS float64 `json:"stageClusteringMS"`
-	ClusterMapMS float64 `json:"stageClusterMapMS"`
-	LowerMS      float64 `json:"stageLowerMS"`
-
-	Draining bool `json:"draining"`
+	Executed  int64 // pipeline executions started on this server
+	Coalesced int64 // submissions attached to an identical in-flight job
+	Rejected  int64 // submissions rejected by admission control
 }
 
-// Stats snapshots the server's counters and gauges.
+// Stats reads the admission counters.
 func (s *Server) Stats() Stats {
-	st := &s.stats
-	out := Stats{
-		Submitted:           st.submitted.Load(),
-		Rejected:            st.rejected.Load(),
-		CacheHits:           st.hits.Load(),
-		CacheMisses:         st.misses.Load(),
-		Coalesced:           st.coalesced.Load(),
-		CacheEntries:        s.cache.Len(),
-		QueueDepth:          len(s.queue),
-		RunningJobs:         int(s.running.Load()),
-		Executed:            st.executed.Load(),
-		Completed:           st.completed.Load(),
-		FailedBudget:        st.failedBudget.Load(),
-		FailedInfeasib:      st.failedInfeasible.Load(),
-		FailedCancel:        st.failedCancelled.Load(),
-		FailedOther:         st.failedOther.Load(),
-		Retried:             st.retried.Load(),
-		Degraded:            st.degraded.Load(),
-		Shed:                st.shed.Load(),
-		Requeued:            st.requeued.Load(),
-		Recovered:           st.recovered.Load(),
-		JournalErrors:       st.journalErrors.Load(),
-		BatchRequests:       st.batchRequests.Load(),
-		BatchRejected:       st.batchRejected.Load(),
-		BatchItemsHit:       st.batchItemsHit.Load(),
-		BatchItemsCoalesced: st.batchItemsCoalesced.Load(),
-		BatchItemsDup:       st.batchItemsDup.Load(),
-		BatchItemsEnqueued:  st.batchItemsEnqueued.Load(),
-		BatchItemsError:     st.batchItemsError.Load(),
-		SSEStreams:          st.sseStreams.Load(),
-		SSEResumed:          st.sseResumed.Load(),
-		SSESent:             st.sseSent.Load(),
-		SSEActive:           st.sseActive.Load(),
-		ClusterForwarded:    st.forwarded.Load(),
-		ClusterFallback:     st.forwardFallback.Load(),
-		ClusterMisdirected:  st.forwardMisdirected.Load(),
-		ClusterOriginJobs:   st.originJobs.Load(),
-		ClusterGossipFill:   st.gossipFilled.Load(),
-		WebhooksSent:        st.webhookSent.Load(),
-		WebhooksRetried:     st.webhookRetried.Load(),
-		WebhooksFailed:      st.webhookFailed.Load(),
-		WebhooksDropped:     st.webhookDropped.Load(),
-		BreakerState:        s.breaker.state().String(),
-		BreakerFailureRate:  s.breaker.failureRate(),
-		ClusteringMS:        float64(st.clusteringNS.Load()) / float64(time.Millisecond),
-		ClusterMapMS:        float64(st.clustermapNS.Load()) / float64(time.Millisecond),
-		LowerMS:             float64(st.lowerNS.Load()) / float64(time.Millisecond),
+	return Stats{
+		Executed:  s.stats.executed.Value(),
+		Coalesced: s.stats.coalesced.Value(),
+		Rejected:  s.stats.rejected.Value(),
 	}
-	if n := out.CacheHits + out.CacheMisses; n > 0 {
-		out.CacheHitRate = float64(out.CacheHits) / float64(n)
-	}
-	if cl := s.opts.Cluster; cl != nil {
-		cs := cl.Stats()
-		out.ClusterPeers = len(cs.Peers)
-		out.ClusterPeersDown = cs.PeersDown
-	}
-	s.mu.Lock()
-	out.Draining = s.draining
-	s.mu.Unlock()
-	return out
 }

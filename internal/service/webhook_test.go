@@ -101,9 +101,9 @@ func TestWebhookOnCompleteSigned(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.WebhooksSent != 1 || st.WebhooksFailed != 0 {
-		t.Errorf("webhook stats sent=%d failed=%d, want 1/0", st.WebhooksSent, st.WebhooksFailed)
+	st := metricsOf(t, srv)
+	if st["panorama_webhook_sent_total"] != 1 || st["panorama_webhook_failed_total"] != 0 {
+		t.Errorf("webhook stats sent=%v failed=%v, want 1/0", st["panorama_webhook_sent_total"], st["panorama_webhook_failed_total"])
 	}
 }
 
@@ -149,10 +149,10 @@ func TestWebhookRetryAndFailureEvent(t *testing.T) {
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.WebhooksSent != 1 || st.WebhooksRetried != 2 || st.WebhooksFailed != 0 {
-		t.Errorf("webhook stats sent=%d retried=%d failed=%d, want 1/2/0",
-			st.WebhooksSent, st.WebhooksRetried, st.WebhooksFailed)
+	st := metricsOf(t, srv)
+	if st["panorama_webhook_sent_total"] != 1 || st["panorama_webhook_retried_total"] != 2 || st["panorama_webhook_failed_total"] != 0 {
+		t.Errorf("webhook stats sent=%v retried=%v failed=%v, want 1/2/0",
+			st["panorama_webhook_sent_total"], st["panorama_webhook_retried_total"], st["panorama_webhook_failed_total"])
 	}
 	// The webhook URL is delivery metadata: it must not have changed
 	// the fingerprint. The same request without it coalesces onto the
@@ -195,8 +195,8 @@ func TestWebhookShutdownDrainAndGiveUp(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := srv.Stats()
-	if st.WebhooksFailed != 1 || st.WebhooksRetried != 1 {
-		t.Errorf("webhook stats failed=%d retried=%d, want 1/1", st.WebhooksFailed, st.WebhooksRetried)
+	st := metricsOf(t, srv)
+	if st["panorama_webhook_failed_total"] != 1 || st["panorama_webhook_retried_total"] != 1 {
+		t.Errorf("webhook stats failed=%v retried=%v, want 1/1", st["panorama_webhook_failed_total"], st["panorama_webhook_retried_total"])
 	}
 }

@@ -9,35 +9,6 @@ import (
 // every failed II attempt (set PANORAMA_DEBUG_OVERUSE=1).
 var debugOveruse = os.Getenv("PANORAMA_DEBUG_OVERUSE") != ""
 
-// debugOcc arms the map-based occupancy fallback (set
-// PANORAMA_DEBUG_OCC=1): every signal additionally maintains the
-// pre-bitset occKey reference-count map, and every claim/rip-up
-// cross-checks the compact claims list and the occupancy bitset
-// against it, panicking on the first divergence. Validation only —
-// roughly doubles claim/rip-up cost.
-var debugOcc = os.Getenv("PANORAMA_DEBUG_OCC") != ""
-
-// checkOcc asserts that the claims list, the occupancy bitset and the
-// debug map agree about sig's occupancy of (n, elapsed).
-func (st *state) checkOcc(sig *signal, n int32, elapsed int) {
-	s := n*int32(st.maxDelta+1) + int32(elapsed)
-	var cnt int32
-	if ci := sig.claimIndex(s); ci >= 0 {
-		cnt = sig.claims[ci].count
-	}
-	if mc := sig.occ[occKey(n, elapsed)]; int32(mc) != cnt {
-		panic(fmt.Sprintf("spr: occupancy divergence at %s phase %d: claims say %d, map fallback says %d",
-			st.g.Describe(int(n)), elapsed, cnt, mc))
-	}
-	if st.occSig == sig {
-		bit := st.occBits[s>>6]&(1<<(uint(s)&63)) != 0
-		if bit != (cnt > 0) {
-			panic(fmt.Sprintf("spr: occupancy bitset divergence at %s phase %d: bit %v, count %d",
-				st.g.Describe(int(n)), elapsed, bit, cnt))
-		}
-	}
-}
-
 // dumpOveruse prints the overused MRRG nodes and unrouted sinks of the
 // current state to stderr.
 func (st *state) dumpOveruse() {

@@ -80,52 +80,6 @@ func TestFirstRevisit(t *testing.T) {
 	}
 }
 
-func TestOccKeyDistinct(t *testing.T) {
-	seen := make(map[int64]bool)
-	for n := int32(0); n < 100; n++ {
-		for e := 0; e < 60; e++ {
-			k := occKey(n, e)
-			if seen[k] {
-				t.Fatalf("occKey collision at node %d elapsed %d", n, e)
-			}
-			seen[k] = true
-		}
-	}
-}
-
-// Boundary values of the occKey packing: the extremes of both fields
-// must stay collision-free, and anything outside the packable range
-// must trip the guard instead of silently aliasing another key.
-func TestOccKeyBounds(t *testing.T) {
-	// elapsed = occElapsedMax is the last value that fits in the low 16
-	// bits; node 1 elapsed 0 is the first key of the next node. Without
-	// the field bound these would collide (1<<16 | 0 == 0<<16 | 65536).
-	hi := occKey(0, occElapsedMax)
-	next := occKey(1, 0)
-	if hi == next {
-		t.Fatalf("boundary collision: occKey(0, %d) == occKey(1, 0) == %d", occElapsedMax, hi)
-	}
-	if hi != occElapsedMax || next != 1<<16 {
-		t.Fatalf("boundary keys moved: got %d and %d", hi, next)
-	}
-	// The largest representable node must survive the shift without
-	// wrapping int64.
-	if k := occKey(1<<31-1, occElapsedMax); k <= 0 {
-		t.Fatalf("occKey(maxNode, maxElapsed) wrapped to %d", k)
-	}
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not trip the bound guard", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("elapsed overflow", func() { occKey(0, occElapsedMax+1) })
-	mustPanic("negative elapsed", func() { occKey(0, -1) })
-	mustPanic("negative node", func() { occKey(-1, 0) })
-}
-
 func TestClusterMIIBounds(t *testing.T) {
 	a := arch.Preset8x8() // 4 PEs per cluster, 2 memory PEs per cluster
 	g := dfg.New("t")

@@ -44,7 +44,10 @@ type resCost struct {
 }
 
 // occClaim is one reference-counted occupancy of a routing state
-// (node, elapsed phase) by a signal, across its sink routes.
+// (node, elapsed phase) by a signal, across its sink routes. Two sink
+// routes of one signal share a resource for free only when they pass
+// it at the same elapsed time — at different phases the wire would
+// have to carry two different iterations' values in the same cycle.
 type occClaim struct {
 	state int32 // node*(maxDelta+1) + elapsed, the router's state index
 	count int32 // how many of the signal's routes pass this state
@@ -63,12 +66,6 @@ type signal struct {
 	// shared occupancy bitset answers membership in O(1) for the signal
 	// currently being routed (see state.beginRouting).
 	claims []occClaim
-
-	// occ mirrors claims as an occKey-indexed reference-count map, and
-	// exists only under PANORAMA_DEBUG_OCC as the validation fallback
-	// cross-checked against the bitset path (see debug.go). nil in
-	// normal operation.
-	occ map[int64]int
 }
 
 // claimIndex returns the position of state in claims, or -1.
@@ -548,9 +545,6 @@ func (st *state) buildSignals() {
 			continue
 		}
 		sig := &signal{src: v}
-		if debugOcc {
-			sig.occ = make(map[int64]int)
-		}
 		for _, ei := range outs {
 			e := st.d.Edges[ei]
 			sig.sinks = append(sig.sinks, sink{edge: ei, consumer: e.To})
