@@ -290,27 +290,32 @@ func splitILP(ctx context.Context, cdg *spectral.CDG, current []int, fixed map[i
 	// node-balanced but memory-lopsided row forces the lower mapper
 	// into a higher II (implementation refinement over the paper's
 	// node-count-only objective; see DESIGN.md).
-	var sizeExpr, memExpr ilp.Expr
+	//
+	// Term lists are built with append and wrapped once: Expr.Plus
+	// copies its whole list per call, which makes long sums quadratic.
+	sizeTerms := make([]ilp.Term, 0, len(current))
+	var memTerms []ilp.Term
 	maxAbs, memTotal := 0, 0
 	for _, v := range current {
-		sizeExpr = sizeExpr.Plus(vars[v], cdg.Sizes[v])
+		sizeTerms = append(sizeTerms, ilp.Term{Var: vars[v], Coef: cdg.Sizes[v]})
 		maxAbs += cdg.Sizes[v]
 		if ms := cdg.MemSize(v); ms > 0 {
-			memExpr = memExpr.Plus(vars[v], ms)
+			memTerms = append(memTerms, ilp.Term{Var: vars[v], Coef: ms})
 			memTotal += ms
 		}
 	}
-	sizeExpr = sizeExpr.PlusConst(-target)
+	sizeExpr := ilp.NewExpr(sizeTerms...).PlusConst(-target)
 	if maxAbs < target {
 		maxAbs = target
 	}
 	t := m.AbsVar("dev", sizeExpr, maxAbs+target)
-	obj := ilp.NewExpr(ilp.Term{Var: t, Coef: 3})
+	obj := []ilp.Term{{Var: t, Coef: 3}}
+	memExpr := ilp.NewExpr(memTerms...)
 	if memTotal > 0 {
 		memTarget := memTotal * target / maxInt(1, maxAbs)
 		memExpr = memExpr.PlusConst(-memTarget)
 		tm := m.AbsVar("memdev", memExpr, memTotal+memTarget)
-		obj = obj.Plus(tm, 4)
+		obj = append(obj, ilp.Term{Var: tm, Coef: 4})
 	}
 
 	// Minimise the weight of edges the split severs (dependent nodes
@@ -325,7 +330,7 @@ func splitILP(ctx context.Context, cdg *spectral.CDG, current []int, fixed map[i
 			}
 			e := ilp.NewExpr(ilp.Term{Var: vars[u], Coef: 1}, ilp.Term{Var: vars[v], Coef: -1})
 			cut := m.AbsVar(fmt.Sprintf("cut_%d_%d", u, v), e, 1)
-			obj = obj.Plus(cut, w)
+			obj = append(obj, ilp.Term{Var: cut, Coef: w})
 		}
 		pull := 0
 		for _, x := range cdg.Neighbors(u) {
@@ -335,16 +340,17 @@ func splitILP(ctx context.Context, cdg *spectral.CDG, current []int, fixed map[i
 		}
 		if pull > 0 {
 			// (1 - stay_u) * pull, dropping the constant.
-			obj = obj.Plus(vars[u], -pull)
+			obj = append(obj, ilp.Term{Var: vars[u], Coef: -pull})
 		}
 	}
-	m.Minimize(obj)
+	m.Minimize(ilp.NewExpr(obj...))
 
 	// Both groups non-empty; push group large enough for the rows left.
-	var stayCount ilp.Expr
-	for _, v := range current {
-		stayCount = stayCount.Plus(vars[v], 1)
+	countTerms := make([]ilp.Term, len(current))
+	for i, v := range current {
+		countTerms[i] = ilp.Term{Var: vars[v], Coef: 1}
 	}
+	stayCount := ilp.NewExpr(countTerms...)
 	m.AddGE(stayCount, 1, "stay nonempty")
 	m.AddLE(stayCount, len(current)-maxInt(1, remainingRows), "push covers rows")
 
@@ -374,21 +380,19 @@ func splitILP(ctx context.Context, cdg *spectral.CDG, current []int, fixed map[i
 			if deg < 2 {
 				continue
 			}
-			// sum_j (v_j + v_i) <= zeta1 + eta*v_i
-			var e1 ilp.Expr
+			// Both constraints share the left-hand side
+			// sum_j v_j + (deg-eta)*v_i.
+			fork := make([]ilp.Term, 0, deg+1)
 			for _, w := range adj {
-				e1 = e1.Plus(vars[w], 1)
+				fork = append(fork, ilp.Term{Var: vars[w], Coef: 1})
 			}
-			e1 = e1.Plus(vars[v], deg-eta)
-			m.AddLE(e1, opts.Zeta1, "fork-pushed")
+			fork = append(fork, ilp.Term{Var: vars[v], Coef: deg - eta})
+			e := ilp.NewExpr(fork...)
+			// sum_j (v_j + v_i) <= zeta1 + eta*v_i
+			m.AddLE(e, opts.Zeta1, "fork-pushed")
 			// sum_j (v_j + v_i) >= 2*deg - zeta2 - eta*(1 - v_i),
 			// i.e. sum_j v_j + (deg-eta)*v_i >= 2*deg - zeta2 - eta.
-			var e2 ilp.Expr
-			for _, w := range adj {
-				e2 = e2.Plus(vars[w], 1)
-			}
-			e2 = e2.Plus(vars[v], deg-eta)
-			m.AddGE(e2, 2*deg-opts.Zeta2-eta, "fork-stay")
+			m.AddGE(e, 2*deg-opts.Zeta2-eta, "fork-stay")
 		}
 	}
 

@@ -112,11 +112,11 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 		vars[v] = vs
 
 		// Proportional span.
-		var sum ilp.Expr
-		for col := 0; col < c; col++ {
-			sum = sum.Plus(vs[col], 1)
+		sum := make([]ilp.Term, c)
+		for col := range sum {
+			sum[col] = ilp.Term{Var: vs[col], Coef: 1}
 		}
-		m.AddEQ(sum, spans[v], "span")
+		m.AddEQ(ilp.NewExpr(sum...), spans[v], "span")
 
 		// Contiguity: forbid covered-gap-covered patterns.
 		for c1 := 0; c1 < c; c1++ {
@@ -135,8 +135,9 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 
 	// Load balance across the row's columns (the paper's condition 1:
 	// distribute DFG nodes proportionate to cluster sizes): penalise
-	// each column's deviation from the row's per-column average.
-	var obj ilp.Expr
+	// each column's deviation from the row's per-column average. Term
+	// lists are built with append and wrapped once, as in splitILP.
+	var obj []ilp.Term
 	rowLoad, memLoad := 0, 0
 	share := make(map[int]int, len(nodes))
 	memShare := make(map[int]int, len(nodes))
@@ -149,30 +150,30 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 	target := rowLoad / c
 	memTarget := memLoad / c
 	for col := 0; col < c; col++ {
-		var e ilp.Expr
-		for _, v := range nodes {
-			e = e.Plus(vars[v][col], share[v])
+		load := make([]ilp.Term, len(nodes))
+		for i, v := range nodes {
+			load[i] = ilp.Term{Var: vars[v][col], Coef: share[v]}
 		}
+		e := ilp.NewExpr(load...)
 		// Hard per-cluster capacity at the target II, when configured.
 		if opts.NodeCapacity > 0 {
 			m.AddLE(e, opts.NodeCapacity, "capacity")
 		}
-		e = e.PlusConst(-target)
-		t := m.AbsVar(fmt.Sprintf("bal_%d", col), e, rowLoad+target)
-		obj = obj.Plus(t, balanceWeight)
+		t := m.AbsVar(fmt.Sprintf("bal_%d", col), e.PlusConst(-target), rowLoad+target)
+		obj = append(obj, ilp.Term{Var: t, Coef: balanceWeight})
 		if memLoad > 0 {
-			var em ilp.Expr
+			var mem []ilp.Term
 			for _, v := range nodes {
 				if memShare[v] > 0 {
-					em = em.Plus(vars[v][col], memShare[v])
+					mem = append(mem, ilp.Term{Var: vars[v][col], Coef: memShare[v]})
 				}
 			}
+			em := ilp.NewExpr(mem...)
 			if opts.MemCapacity > 0 {
 				m.AddLE(em, opts.MemCapacity, "mem capacity")
 			}
-			em = em.PlusConst(-memTarget)
-			tm := m.AbsVar(fmt.Sprintf("membal_%d", col), em, memLoad+memTarget)
-			obj = obj.Plus(tm, 2*balanceWeight)
+			tm := m.AbsVar(fmt.Sprintf("membal_%d", col), em.PlusConst(-memTarget), memLoad+memTarget)
+			obj = append(obj, ilp.Term{Var: tm, Coef: 2 * balanceWeight})
 		}
 	}
 
@@ -190,25 +191,26 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 					continue
 				}
 				seen[key] = true
-				var e ilp.Expr
+				diff := make([]ilp.Term, 0, 2*c)
 				for col := 0; col < c; col++ {
-					e = e.Plus(vars[v][col], col*spans[w])
-					e = e.Plus(vars[w][col], -col*spans[v])
+					diff = append(diff,
+						ilp.Term{Var: vars[v][col], Coef: col * spans[w]},
+						ilp.Term{Var: vars[w][col], Coef: -col * spans[v]})
 				}
 				hi := (c - 1) * spans[v] * spans[w]
-				t := m.AbsVar(fmt.Sprintf("d_%d_%d", v, w), e, hi+1)
-				obj = obj.Plus(t, weight)
+				t := m.AbsVar(fmt.Sprintf("d_%d_%d", v, w), ilp.NewExpr(diff...), hi+1)
+				obj = append(obj, ilp.Term{Var: t, Coef: weight})
 			} else {
 				// Fixed partner: per-column distance to its column set.
 				for col := 0; col < c; col++ {
 					if d := minColDist(col, cols[w]); d > 0 {
-						obj = obj.Plus(vars[v][col], weight*d)
+						obj = append(obj, ilp.Term{Var: vars[v][col], Coef: weight * d})
 					}
 				}
 			}
 		}
 	}
-	m.Minimize(obj)
+	m.Minimize(ilp.NewExpr(obj...))
 
 	// Coverage: every column of the row hosts at least one node, when
 	// the row has enough span to cover them (paper's many-to-one
@@ -221,11 +223,11 @@ func rowILP(ctx context.Context, cdg *spectral.CDG, nodes []int, rows []int, col
 	withCoverage := totalSpan >= c
 	if withCoverage {
 		for col := 0; col < c; col++ {
-			var e ilp.Expr
-			for _, v := range nodes {
-				e = e.Plus(vars[v][col], 1)
+			cover := make([]ilp.Term, len(nodes))
+			for i, v := range nodes {
+				cover[i] = ilp.Term{Var: vars[v][col], Coef: 1}
 			}
-			m.AddGE(e, 1, "coverage")
+			m.AddGE(ilp.NewExpr(cover...), 1, "coverage")
 		}
 	}
 

@@ -2,10 +2,15 @@
 // bounded variables, used by the cluster mapping stage in place of the
 // commercial solver the paper calls through gurobipy.
 //
-// The solver is branch-and-bound with bound-consistency propagation on
-// the linear constraints and an optimistic objective bound. The CDG
-// instances Panorama produces are small (tens of variables with tiny
-// domains), for which this is exact and fast.
+// The solver is depth-first branch-and-bound with bound-consistency
+// propagation on the linear constraints and an optimistic objective
+// bound. Propagation is event-driven: each variable knows the
+// constraints it occurs in, a bound change queues only those, and a
+// node propagates until the queue is empty (the fixpoint). Every bound
+// change is pushed on an undo trail, so backtracking restores a node's
+// domains by undoing its subtree's changes rather than copying them.
+// The CDG instances Panorama produces are small (tens to hundreds of
+// variables with tiny domains), for which this is exact and fast.
 package ilp
 
 import "fmt"
@@ -28,7 +33,9 @@ type Expr struct {
 // NewExpr builds an expression from terms.
 func NewExpr(terms ...Term) Expr { return Expr{Terms: terms} }
 
-// Plus returns e with an added term.
+// Plus returns e with an added term. It copies e's terms, so e is
+// never aliased; to build a long sum, append to a []Term and call
+// NewExpr once instead.
 func (e Expr) Plus(v VarID, coef int) Expr {
 	e.Terms = append(append([]Term(nil), e.Terms...), Term{v, coef})
 	return e
@@ -115,11 +122,11 @@ func (m *Model) AbsVar(name string, e Expr, hi int) VarID {
 	// t >= expr  <=>  expr - t <= 0
 	m.AddLE(e.Plus(t, -1), 0, name+"+")
 	// t >= -expr <=>  -expr - t <= 0
-	neg := Expr{Const: -e.Const}
-	for _, tm := range e.Terms {
-		neg.Terms = append(neg.Terms, Term{tm.Var, -tm.Coef})
+	neg := make([]Term, len(e.Terms), len(e.Terms)+1)
+	for i, tm := range e.Terms {
+		neg[i] = Term{tm.Var, -tm.Coef}
 	}
-	m.AddLE(neg.Plus(t, -1), 0, name+"-")
+	m.AddLE(Expr{Terms: append(neg, Term{t, -1}), Const: -e.Const}, 0, name+"-")
 	return t
 }
 

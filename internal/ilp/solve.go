@@ -66,16 +66,31 @@ type solver struct {
 	nodes    int
 	maxNodes int
 
+	// occurs[v] lists the constraints v appears in; objCoef[v] sums
+	// v's objective coefficients.
+	occurs  [][]int
+	objCoef []int
+	// queue holds the constraints to revise before the current node is
+	// at its propagation fixpoint; queued marks its members.
+	queue  []int
+	queued []bool
+	// trail records every bound change, so backtracking restores a
+	// node's domains by undoing the changes its subtree made.
+	trail []undo
+
 	ctx      context.Context
 	deadline time.Time
 	timed    bool
 	stopped  bool // wall-clock budget or ctx fired mid-search
 }
 
+// undo is one trail entry: variable v's bounds before a change.
+type undo struct{ v, lo, hi int }
+
 // deadlineCheckInterval bounds how many branch-and-bound nodes may be
 // explored between wall-clock/context checks; it caps the overrun past
-// a deadline at the cost of that many propagation passes (well under a
-// millisecond on the CDG-sized instances this solver sees).
+// a deadline at that many nodes' propagation (well under a millisecond
+// on the CDG-sized instances this solver sees).
 const deadlineCheckInterval = 1024
 
 // Solve runs branch-and-bound and returns the best assignment.
@@ -99,12 +114,17 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) *Result {
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = 2_000_000
 	}
+	n := len(m.vars)
 	s := &solver{
 		m:        m,
-		lo:       make([]int, len(m.vars)),
-		hi:       make([]int, len(m.vars)),
+		lo:       make([]int, n),
+		hi:       make([]int, n),
 		best:     math.MaxInt,
 		maxNodes: opts.MaxNodes,
+		occurs:   make([][]int, n),
+		objCoef:  make([]int, n),
+		queue:    make([]int, 0, len(m.cons)),
+		queued:   make([]bool, len(m.cons)),
 		ctx:      ctx,
 	}
 	if opts.Timeout > 0 {
@@ -115,6 +135,17 @@ func (m *Model) SolveCtx(ctx context.Context, opts Options) *Result {
 	}
 	for i, v := range m.vars {
 		s.lo[i], s.hi[i] = v.lo, v.hi
+	}
+	for ci, c := range m.cons {
+		for _, t := range c.terms {
+			if o := s.occurs[t.Var]; len(o) == 0 || o[len(o)-1] != ci {
+				s.occurs[t.Var] = append(o, ci)
+			}
+		}
+		s.enqueue(ci) // the root revises every constraint
+	}
+	for _, t := range m.obj {
+		s.objCoef[t.Var] += t.Coef
 	}
 	s.checkBudgets() // a pre-expired budget must not start the search
 	s.dfs()
@@ -148,7 +179,8 @@ func (s *solver) checkBudgets() {
 	}
 }
 
-// dfs explores the current node: propagate, bound, branch.
+// dfs explores the current node: propagate, bound, branch. On entry
+// the queue holds the constraints touched since the last fixpoint.
 func (s *solver) dfs() {
 	if s.stopped || s.nodes >= s.maxNodes {
 		return
@@ -162,19 +194,17 @@ func (s *solver) dfs() {
 	if !s.propagate() {
 		return
 	}
-	if s.objLowerBound() >= s.best && s.feasible {
+	lb := s.objLowerBound()
+	if lb >= s.best && s.feasible {
 		return
 	}
 	branch := s.pickBranchVar()
 	if branch < 0 {
-		// All variables fixed: feasibility was proven by propagation.
-		obj := 0
-		for _, t := range s.m.obj {
-			obj += t.Coef * s.lo[t.Var]
-		}
-		if obj < s.best || !s.feasible {
-			if obj < s.best {
-				s.best = obj
+		// All variables fixed: feasibility was proven by propagation,
+		// and the objective bound is the objective.
+		if lb < s.best || !s.feasible {
+			if lb < s.best {
+				s.best = lb
 			}
 			s.feasible = true
 			s.bestAsg = append([]int(nil), s.lo...)
@@ -182,63 +212,90 @@ func (s *solver) dfs() {
 		return
 	}
 
-	saveLo := append([]int(nil), s.lo...)
-	saveHi := append([]int(nil), s.hi...)
-	for _, val := range s.valueOrder(branch) {
-		s.lo[branch], s.hi[branch] = val, val
+	// Try the objective-friendly end of the domain first.
+	lo, hi := s.lo[branch], s.hi[branch]
+	val, step := lo, 1
+	if s.objCoef[branch] <= 0 {
+		val, step = hi, -1
+	}
+	mark := len(s.trail)
+	for ; lo <= val && val <= hi; val += step {
+		s.set(branch, val, val)
 		s.dfs()
-		copy(s.lo, saveLo)
-		copy(s.hi, saveHi)
+		s.undoTo(mark)
 		if s.stopped || s.nodes >= s.maxNodes {
 			return
 		}
 	}
 }
 
-// propagate enforces bound consistency over all constraints until a
-// fixpoint (bounded passes); returns false on wipeout.
+// set changes v's bounds to [lo, hi], records the old ones on the
+// trail and queues v's constraints for revision.
+func (s *solver) set(v, lo, hi int) {
+	s.trail = append(s.trail, undo{v, s.lo[v], s.hi[v]})
+	s.lo[v], s.hi[v] = lo, hi
+	for _, ci := range s.occurs[v] {
+		s.enqueue(ci)
+	}
+}
+
+func (s *solver) enqueue(ci int) {
+	if !s.queued[ci] {
+		s.queued[ci] = true
+		s.queue = append(s.queue, ci)
+	}
+}
+
+// undoTo restores every bound changed since the trail had length mark.
+func (s *solver) undoTo(mark int) {
+	for i := len(s.trail) - 1; i >= mark; i-- {
+		u := s.trail[i]
+		s.lo[u.v], s.hi[u.v] = u.lo, u.hi
+	}
+	s.trail = s.trail[:mark]
+}
+
+// propagate revises queued constraints until none is left (the bound
+// consistency fixpoint); returns false on wipeout. Any revision order
+// reaches the same fixpoint, because tightening is monotone.
 func (s *solver) propagate() bool {
-	for pass := 0; pass < 16; pass++ {
-		changed := false
-		for ci := range s.m.cons {
-			c := &s.m.cons[ci]
-			minSum := 0
-			for _, t := range c.terms {
-				minSum += minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
+	for head := 0; head < len(s.queue); head++ {
+		ci := s.queue[head]
+		s.queued[ci] = false
+		if !s.revise(ci) {
+			for _, cj := range s.queue[head+1:] {
+				s.queued[cj] = false
 			}
-			if minSum > c.rhs {
-				return false
-			}
-			for _, t := range c.terms {
-				if t.Coef == 0 {
-					continue
-				}
-				own := minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
-				residual := c.rhs - (minSum - own)
-				// t.Coef * x <= residual
-				if t.Coef > 0 {
-					ub := floorDiv(residual, t.Coef)
-					if ub < s.hi[t.Var] {
-						s.hi[t.Var] = ub
-						if s.lo[t.Var] > ub {
-							return false
-						}
-						changed = true
-					}
-				} else {
-					lb := ceilDiv(residual, t.Coef)
-					if lb > s.lo[t.Var] {
-						s.lo[t.Var] = lb
-						if lb > s.hi[t.Var] {
-							return false
-						}
-						changed = true
-					}
-				}
-			}
+			s.queue = s.queue[:0]
+			return false
 		}
-		if !changed {
-			return true
+	}
+	s.queue = s.queue[:0]
+	return true
+}
+
+// revise tightens the bounds of constraint ci's variables against its
+// right-hand side; returns false on wipeout. With slack = rhs - (the
+// minimum of the left-hand side) >= 0, a term coef*x can grow by at
+// most slack over its minimum, so x <= lo + slack/coef for coef > 0 and
+// x >= hi - slack/|coef| for coef < 0 — never past the other bound.
+func (s *solver) revise(ci int) bool {
+	c := &s.m.cons[ci]
+	slack := c.rhs
+	for _, t := range c.terms {
+		slack -= minProd(t.Coef, s.lo[t.Var], s.hi[t.Var])
+	}
+	if slack < 0 {
+		return false
+	}
+	for _, t := range c.terms {
+		v := int(t.Var)
+		lo, hi := s.lo[v], s.hi[v]
+		switch {
+		case t.Coef > 0 && slack < t.Coef*(hi-lo):
+			s.set(v, lo, lo+slack/t.Coef)
+		case t.Coef < 0 && slack < -t.Coef*(hi-lo):
+			s.set(v, hi-slack/-t.Coef, hi)
 		}
 	}
 	return true
@@ -270,51 +327,10 @@ func (s *solver) pickBranchVar() int {
 	return best
 }
 
-// valueOrder enumerates the domain of v, trying the objective-friendly
-// end first.
-func (s *solver) valueOrder(v int) []int {
-	coef := 0
-	for _, t := range s.m.obj {
-		if int(t.Var) == v {
-			coef += t.Coef
-		}
-	}
-	n := s.hi[v] - s.lo[v] + 1
-	vals := make([]int, n)
-	if coef > 0 {
-		for i := range vals {
-			vals[i] = s.lo[v] + i
-		}
-	} else {
-		for i := range vals {
-			vals[i] = s.hi[v] - i
-		}
-	}
-	return vals
-}
-
 // minProd returns the minimum of coef*x for x in [lo, hi].
 func minProd(coef, lo, hi int) int {
 	if coef >= 0 {
 		return coef * lo
 	}
 	return coef * hi
-}
-
-// floorDiv returns floor(a/b) for b != 0.
-func floorDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
-// ceilDiv returns ceil(a/b) for b != 0.
-func ceilDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) == (b < 0)) {
-		q++
-	}
-	return q
 }

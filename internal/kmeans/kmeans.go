@@ -5,6 +5,7 @@
 package kmeans
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -38,8 +39,15 @@ func (o *Options) defaults() {
 // Cluster partitions points into k clusters. Every cluster in the
 // result is non-empty provided k <= len(points); empty clusters arising
 // during iteration are re-seeded with the point farthest from its
-// centroid.
+// centroid. Use ClusterCtx for cancellation.
 func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
+	return ClusterCtx(context.Background(), points, k, opts)
+}
+
+// ClusterCtx is Cluster with cancellation: it checks ctx before each
+// restart and each Lloyd iteration and returns ctx.Err() once it has
+// fired. Cancellation never changes a result that is returned.
+func ClusterCtx(ctx context.Context, points [][]float64, k int, opts Options) (*Result, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, fmt.Errorf("kmeans: no points")
@@ -58,7 +66,10 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 	var best *Result
 	for r := 0; r < opts.Restarts; r++ {
 		rng := rand.New(rand.NewSource(opts.Seed + int64(r)*7919))
-		res := run(points, k, opts.MaxIter, rng)
+		res, err := run(ctx, points, k, opts.MaxIter, rng)
+		if err != nil {
+			return nil, err
+		}
 		if best == nil || res.Inertia < best.Inertia {
 			best = res
 		}
@@ -66,7 +77,10 @@ func Cluster(points [][]float64, k int, opts Options) (*Result, error) {
 	return best, nil
 }
 
-func run(points [][]float64, k, maxIter int, rng *rand.Rand) *Result {
+func run(ctx context.Context, points [][]float64, k, maxIter int, rng *rand.Rand) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	centers := seedPlusPlus(points, k, rng)
 	n := len(points)
 	assign := make([]int, n)
@@ -75,6 +89,9 @@ func run(points [][]float64, k, maxIter int, rng *rand.Rand) *Result {
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		changed := false
 		for i, p := range points {
 			c := nearest(p, centers)
@@ -93,7 +110,7 @@ func run(points [][]float64, k, maxIter int, rng *rand.Rand) *Result {
 	for i, p := range points {
 		inertia += sqDist(p, centers[assign[i]])
 	}
-	return &Result{Assign: assign, Centers: centers, Inertia: inertia}
+	return &Result{Assign: assign, Centers: centers, Inertia: inertia}, nil
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ scheme:

@@ -30,6 +30,24 @@ func TestEmbedderCtxCancelled(t *testing.T) {
 	}
 }
 
+// A cancelled ctx stops the k-means stage of one k as well.
+func TestEmbedderClusterCtxCancelled(t *testing.T) {
+	g := dfg.New("pair")
+	g.AddNode(dfg.OpAdd, "")
+	g.AddNode(dfg.OpAdd, "")
+	g.AddEdge(0, 1)
+	g.MustFreeze()
+	em, err := NewEmbedder(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := em.ClusterCtx(ctx, 2, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
 // The second eigenvector of a path graph's Laplacian (the Fiedler
 // vector) is monotone along the path — a classic spectral property that
 // pins down the eigensolver + Laplacian pipeline.

@@ -82,8 +82,16 @@ func Laplacian(g *dfg.Graph) *linalg.Matrix {
 }
 
 // Cluster runs k-means on the first k eigenvector coordinates of every
-// node and returns the resulting partition with its statistics.
+// node and returns the resulting partition with its statistics. Use
+// ClusterCtx for cancellation.
 func (em *Embedder) Cluster(k int, seed int64) (*Partition, error) {
+	return em.ClusterCtx(context.Background(), k, seed)
+}
+
+// ClusterCtx is Cluster with cancellation: k-means checks ctx per
+// restart and per Lloyd iteration and returns ctx.Err() (wrapped) once
+// it fires.
+func (em *Embedder) ClusterCtx(ctx context.Context, k int, seed int64) (*Partition, error) {
 	if err := faultinject.Fire(faultinject.SiteKMeans); err != nil {
 		return nil, err
 	}
@@ -99,7 +107,7 @@ func (em *Embedder) Cluster(k int, seed int64) (*Partition, error) {
 		}
 		pts[i] = row
 	}
-	res, err := kmeans.Cluster(pts, k, kmeans.Options{Seed: seed})
+	res, err := kmeans.ClusterCtx(ctx, pts, k, kmeans.Options{Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("spectral: %w", err)
 	}
@@ -186,7 +194,8 @@ func Sweep(g *dfg.Graph, kMin, kMax int, seed int64) ([]*Partition, error) {
 // (workers <= 0 means one per CPU), and the pool statistics of the
 // fan-out. The Laplacian eigendecomposition — the sweep's shared
 // prefix — is computed exactly once; only the per-k k-means stage fans
-// out. Each k clusters with the seed seed+k, exactly as the serial
+// out. ctx reaches inside both: the eigensolve and every k-means
+// restart and Lloyd iteration stop once it fires. Each k clusters with the seed seed+k, exactly as the serial
 // loop always has, so the result is bit-identical at any worker count:
 // the output slice is ordered by k and each entry depends only on
 // (embedding, k, seed).
@@ -207,7 +216,7 @@ func SweepCtx(ctx context.Context, g *dfg.Graph, kMin, kMax int, seed int64, wor
 	parts := make([]*Partition, kMax-kMin+1)
 	stats, err := pool.Run(ctx, workers, len(parts), func(i int) error {
 		k := kMin + i
-		p, err := em.Cluster(k, seed+int64(k))
+		p, err := em.ClusterCtx(ctx, k, seed+int64(k))
 		if err != nil {
 			return err
 		}
